@@ -182,7 +182,9 @@ def test_bench_service_chaos(benchmark, bench_params, bench_record, tmp_path):
 
     requests_total = sum(report["requests"] for report in reports)
     assert requests_total == PROCESSES * ROUNDS
-    requests_per_second = requests_total / max(chaos_seconds, 1e-9)
+    # Drill pacing, not serving throughput: the window includes subprocess
+    # start-up.
+    drill_requests_per_second = requests_total / max(chaos_seconds, 1e-9)
     retries_absorbed = sum(
         report["retries"]["transient_errors"] for report in reports
     )
@@ -198,5 +200,5 @@ def test_bench_service_chaos(benchmark, bench_params, bench_record, tmp_path):
         faults_fired=faults_fired,
         retries_absorbed=retries_absorbed,
         chaos_seconds=round(chaos_seconds, 4),
-        requests_per_second=round(requests_per_second, 4),
+        drill_requests_per_second=round(drill_requests_per_second, 4),
     )

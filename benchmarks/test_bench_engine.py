@@ -7,12 +7,10 @@ naive per-problem loop for the same workload.
 
 The engine's edge on a single CPU comes from the shared expression cache:
 repeated sub-expressions across hops and problems are simplified once and
-symbol-mention probes become memo lookups.  The engine is pinned to the
-``serial`` backend here so the comparison measures exactly that, independent
-of the host's core count (the thread backend cannot beat the GIL on this
-pure-Python workload; the process backend only pays off for much larger
-problems).  Because both contenders are single-threaded in-process loops,
-the win is *asserted* on process CPU time — immune to other processes
+symbol-mention probes become memo lookups.  The engine runs every job
+in-process and in order, so the comparison measures exactly that,
+independent of the host's core count.  Because both contenders are
+single-threaded in-process loops, the win is *asserted* on process CPU time — immune to other processes
 stealing the core on busy 1-CPU runners, where the few-percent wall margin
 drowns in scheduler noise — while wall-clock is still measured and recorded.
 """
@@ -74,7 +72,7 @@ def test_bench_engine_batch_beats_serial(benchmark, bench_params, bench_record):
     # exercising the expression cache (a warm checkpoint store would turn
     # every measured round into pure replay); the incremental benchmark
     # (test_bench_incremental.py) measures the checkpoint effect.
-    composer = BatchComposer(BatchConfig(backend="serial", share_checkpoints=False))
+    composer = BatchComposer(BatchConfig(share_checkpoints=False))
 
     # Warm both paths once so interpreter warm-up is not part of the timing.
     for problem in workload[:2]:
@@ -135,7 +133,7 @@ def test_bench_engine_pairwise_problems(benchmark, bench_params):
 
     workload = _acceptance_workload(bench_params["seed"])[:10]
     problems = [problem for chain in workload for problem in pairwise_problems(chain)]
-    composer = BatchComposer(BatchConfig(backend="serial"))
+    composer = BatchComposer()
 
     report = benchmark.pedantic(
         lambda: composer.run(problems), rounds=1, iterations=1

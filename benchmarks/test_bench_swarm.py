@@ -152,7 +152,9 @@ def test_bench_service_swarm(benchmark, bench_params, bench_record, tmp_path):
 
     requests_total = sum(report["requests"] for report in reports)
     assert requests_total == PROCESSES * ROUNDS * 2
-    requests_per_second = requests_total / max(swarm_seconds, 1e-9)
+    # Drill pacing, not serving throughput: the window includes subprocess
+    # start-up.
+    drill_requests_per_second = requests_total / max(swarm_seconds, 1e-9)
 
     bench_record(
         "service_swarm",
@@ -163,5 +165,5 @@ def test_bench_service_swarm(benchmark, bench_params, bench_record, tmp_path):
         lost_versions=lost_versions,
         composed_versions=len(composed_versions),
         swarm_seconds=round(swarm_seconds, 4),
-        requests_per_second=round(requests_per_second, 4),
+        drill_requests_per_second=round(drill_requests_per_second, 4),
     )

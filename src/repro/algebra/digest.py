@@ -4,16 +4,14 @@ The cached structural *hashes* (:mod:`repro.algebra.summary` warms them, the
 interning tables key on them) are the right tool inside one process, but
 CPython salts string hashing per process, so they cannot name an expression
 across a pickle boundary.  Incremental recomposition needs exactly that: a
-checkpoint recorded in one process must still be recognized after it is
-pre-seeded into a process-pool worker.
+checkpoint persisted by one process must still be recognized by the next.
 
 :func:`expression_digest` therefore computes a *deterministic* content digest
 (BLAKE2b over the node class, its non-child payload and the child digests) in
 the same iterative bottom-up style as :func:`repro.algebra.summary.node_summary`,
 and caches it on the (immutable) node.  Like the summaries — and unlike the
-salted ``_hash_value`` — the digest is structural, so it survives pickling and
-ships for free to process-pool workers; shared subtrees (the DAGs the rewrite
-engine builds) are digested once.
+salted ``_hash_value`` — the digest is structural, so it survives pickling;
+shared subtrees (the DAGs the rewrite engine builds) are digested once.
 """
 
 from __future__ import annotations

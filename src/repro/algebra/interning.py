@@ -12,8 +12,7 @@ chain hop, and — via the batch engine — many problems.  An
   insert into, or garbage-collect, and a shared subtree is simplified exactly
   once per process instead of once per occurrence per fixpoint pass;
 * **interning** (hash-consing): structurally equal expressions can be
-  collapsed onto one canonical, pre-summarized object — used to pre-seed
-  process-pool workers with the batch's recurring structure; and
+  collapsed onto one canonical, pre-summarized object; and
 * **substitution memoization**: substituting the same bound for the same
   symbol across many large constraints (what basic left/right compose and
   view unfolding do) replays per-subtree results instead of re-walking.

@@ -14,8 +14,7 @@ pass also warms the node's cached structural hash while the children's hashes
 are known, which keeps hashing shallow (no recursion) even for the very deep
 Union/Intersection chains that left- and right-normalization produce.
 
-Summaries are structural (no per-process salting), so they survive pickling
-and ship for free to process-pool workers.
+Summaries are structural (no per-process salting), so they survive pickling.
 """
 
 from __future__ import annotations

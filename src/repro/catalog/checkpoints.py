@@ -14,9 +14,8 @@ checkpoint to a file named by its content token:
   the file exists and validates, installs the loaded checkpoint in memory.
 
 Tokens are deterministic content digests (:mod:`repro.engine.fingerprint`),
-so checkpoints written by one process are recognized verbatim by the next —
-the same property that lets the batch engine ship checkpoints to process-pool
-workers makes them durable here.  The store remains a pure accelerator:
+so checkpoints written by one process are recognized verbatim by the next.
+The store remains a pure accelerator:
 deleting any file (or the whole directory) is always safe, and composition
 outputs are byte-identical with the store hot, cold, warm-from-disk or
 absent.
@@ -204,31 +203,6 @@ class PersistentCheckpointStore(CheckpointStore):
     def disk_entries(self) -> int:
         """Number of checkpoint files currently on disk."""
         return sum(1 for _ in self.directory.glob("*" + _SUFFIX))
-
-    def warm(self, limit: Optional[int] = None) -> int:
-        """Load up to ``limit`` checkpoints from disk into memory.
-
-        Useful before a batch whose process-pool workers are pre-seeded from
-        :meth:`snapshot` (the snapshot only sees in-memory entries).  Stops at
-        the in-memory bound; returns the number of checkpoints loaded.
-        """
-        loaded = 0
-        for path in sorted(self.directory.glob("*" + _SUFFIX)):
-            if len(self._entries) >= self.max_entries:
-                break
-            if limit is not None and loaded >= limit:
-                break
-            try:
-                token = bytes.fromhex(path.name[: -len(_SUFFIX)])
-            except ValueError:
-                continue
-            if token in self._entries:
-                continue
-            checkpoint = self._load_fallback(token)
-            if checkpoint is not None:
-                self._entries.setdefault(token, checkpoint)
-                loaded += 1
-        return loaded
 
     def gc(
         self,

@@ -31,7 +31,6 @@ def compose(
     problem: CompositionProblem,
     config: Optional[ComposerConfig] = None,
     cache: Optional[ExpressionCache] = None,
-    executor=None,
 ) -> CompositionResult:
     """Run COMPOSE on a composition problem and return the detailed result.
 
@@ -44,18 +43,16 @@ def compose(
     through the cost-guided planner (:mod:`repro.compose.planner`):
     independent connected components of the symbol co-occurrence graph are
     composed separately, cheapest eliminations first, with failed symbols
-    re-queued after the cheaper ones.  ``executor`` (a ``concurrent.futures``
-    executor) then runs the components as parallel sub-tasks; it is ignored
-    by the fixed-order path.
+    re-queued after the cheaper ones.
     """
     if cache is not None:
         with shared_expression_cache(cache):
-            return compose(problem, config, executor=executor)
+            return compose(problem, config)
     config = config or ComposerConfig()
     if config.elimination_order == "cost":
         from repro.compose.planner import plan_compose
 
-        return plan_compose(problem, config, executor=executor)
+        return plan_compose(problem, config)
     started = time.perf_counter()
 
     constraints: ConstraintSet = problem.all_constraints

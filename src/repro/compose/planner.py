@@ -34,10 +34,6 @@ Every transformation is one of ELIMINATE's own sound rewrites, so the planned
 output is semantically equivalent to the fixed-order output (the equivalence
 suites assert this on satisfying instances); it is not byte-identical, because
 order, guard baselines and retries legitimately differ.
-
-Components are embarrassingly parallel: :func:`plan_compose` accepts a
-``concurrent.futures`` executor and fans :func:`compose_component` jobs out to
-it — ``BatchComposer.run_partitioned`` supplies the thread/process pools.
 """
 
 from __future__ import annotations
@@ -122,16 +118,13 @@ class ComponentResult:
     ``outcomes`` holds each symbol's *final* outcome (retries overwrite), in
     first-attempt order; ``order`` is the first pass's cost order (recorded on
     ``CompositionResult.plan``); ``reorderings`` counts retry attempts beyond
-    each symbol's first; ``eliminate_seconds`` is the wall-clock total over
-    *all* attempts, retries included (the final outcomes only carry their own
-    attempt's duration).
+    each symbol's first.
     """
 
     constraints: ConstraintSet
     outcomes: Tuple[EliminationOutcome, ...]
     order: Tuple[str, ...]
     reorderings: int
-    eliminate_seconds: float = 0.0
 
 
 def build_plan(constraints: ConstraintSet, symbols: Sequence[str]) -> CompositionPlan:
@@ -271,7 +264,6 @@ def compose_component(
     first_order: List[str] = []
     remaining: List[str] = list(symbols)
     reorderings = 0
-    eliminate_seconds = 0.0
     passes = 0
     while remaining and passes < MAX_ELIMINATION_PASSES:
         passes += 1
@@ -288,7 +280,6 @@ def compose_component(
             )
             symbol_seconds = time.perf_counter() - symbol_started
             charge("eliminate", symbol_seconds)
-            eliminate_seconds += symbol_seconds
             outcome = replace(outcome, duration_seconds=symbol_seconds)
             if symbol in final:
                 reorderings += 1
@@ -307,16 +298,7 @@ def compose_component(
         outcomes=tuple(final[symbol] for symbol in first_order),
         order=tuple(first_order),
         reorderings=reorderings,
-        eliminate_seconds=eliminate_seconds,
     )
-
-
-def _compose_component_job(
-    args: Tuple[ConstraintSet, Tuple[str, ...], Tuple[int, ...], ComposerConfig]
-) -> ComponentResult:
-    """Module-level wrapper so process pools can pickle component jobs."""
-    constraints, symbols, arities, config = args
-    return compose_component(constraints, symbols, arities, config)
 
 
 def _merge_outputs(
@@ -327,8 +309,8 @@ def _merge_outputs(
     """Splice the per-component outputs back into one constraint set.
 
     Untouched constraints keep their original positions; each component's
-    whole output lands at the slot of the component's first constraint — a
-    deterministic order independent of which component finished first.
+    whole output lands at the slot of the component's first constraint, so
+    the merged order follows the input, not the composition order.
     """
     output_at: Dict[int, ConstraintSet] = {
         component.constraint_indices[0]: result.constraints
@@ -347,16 +329,12 @@ def _merge_outputs(
 def plan_compose(
     problem: CompositionProblem,
     config: Optional[ComposerConfig] = None,
-    executor=None,
 ) -> CompositionResult:
     """Run the cost-guided planned composition of ``problem``.
 
     This is ``compose`` for ``ComposerConfig(elimination_order="cost")``:
     partition, per-component cost-ordered elimination with bounded retries,
-    merge, final simplification.  When ``executor`` (a ``concurrent.futures``
-    executor) is given and the plan has more than one component, the component
-    compositions run as sub-tasks on it; results are merged in plan order, so
-    the output is identical to the serial planned composition.
+    merge, final simplification.
     """
     config = config or ComposerConfig()
     started = time.perf_counter()
@@ -369,30 +347,18 @@ def plan_compose(
     with collect_phases() as phase_buckets:
         with timed("planner"):
             plan = build_plan(constraints, sigma2_names)
-            jobs = []
-            for component in plan.components:
-                jobs.append(
-                    (
-                        constraints.subset(component.constraint_indices),
-                        component.symbols,
-                        tuple(sigma2.arity_of(symbol) for symbol in component.symbols),
-                        config,
-                    )
+            jobs = [
+                (
+                    constraints.subset(component.constraint_indices),
+                    component.symbols,
+                    tuple(sigma2.arity_of(symbol) for symbol in component.symbols),
                 )
-
-        if executor is not None and len(jobs) > 1:
-            futures = [executor.submit(_compose_component_job, job) for job in jobs]
-            component_results = [future.result() for future in futures]
-            # Pool workers charge their phase buckets to their own threads
-            # (or processes), where no collection is active; credit their
-            # elimination time — all attempts, retries included — here so
-            # phase_seconds stays meaningful.
-            charge(
-                "eliminate",
-                sum(result.eliminate_seconds for result in component_results),
-            )
-        else:
-            component_results = [_compose_component_job(job) for job in jobs]
+                for component in plan.components
+            ]
+        component_results = [
+            compose_component(subset, symbols, arities, config)
+            for subset, symbols, arities in jobs
+        ]
 
         merged = _merge_outputs(constraints, plan, component_results)
         if config.simplify_output:

@@ -1,19 +1,26 @@
-"""Batch execution of composition problems over ``concurrent.futures``.
+"""Batch execution of composition problems.
 
 The value of a best-effort composition algorithm shows at scale: hundreds of
 problems drawn from an evolution simulator, figure sweeps re-running the same
 scenario over a parameter grid, regression suites over a problem corpus.
-:class:`BatchComposer` runs such workloads through one engine with
+:class:`BatchComposer` runs such workloads in-process and in submission order
+through one engine with
 
-* selectable backends — ``serial`` (plain loop), ``thread`` and ``process``
-  pools (``auto`` picks per the machine's CPU count),
 * failure isolation: one crashing problem is recorded and the rest of the
   batch proceeds,
 * a soft per-problem timeout: problems whose execution exceeds the budget are
-  reported as timed out and their result discarded (cooperative — CPython
-  threads cannot be preempted), and
+  reported as timed out and their result discarded (cooperative — a running
+  job is never interrupted),
 * a shared expression cache (:mod:`repro.algebra.interning`) so sub-expressions
-  repeated across the batch are simplified once.
+  repeated across the batch are simplified once, and
+* a shared hop-checkpoint store (:mod:`repro.engine.checkpoint`) so chains
+  sharing a prefix recompose incrementally.
+
+There is no thread or process pool.  Composition is GIL-bound pure Python, so
+threads never speed it up, and a process pool pays for pickling every job's
+constraint sets and loses the shared cache and checkpoints: on 1- and 2-core
+hosts it ran the planner's component workloads at 0.09–0.13× the serial
+loop.
 
 ``BatchComposer.map`` is the generic engine; ``run`` (composition problems)
 and ``run_chains`` (mapping chains) are the composition-aware entry points the
@@ -22,41 +29,30 @@ experiment drivers build on.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import enum
 import gc
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.algebra.interning import ExpressionCache, activate_cache, shared_expression_cache
+from repro.algebra.interning import ExpressionCache, shared_expression_cache
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
-from repro.engine.chain import ChainResult, compose_chain
-from repro.engine.checkpoint import ChainCheckpoint, CheckpointStore
+from repro.engine.chain import compose_chain
+from repro.engine.checkpoint import CheckpointStore
 from repro.exceptions import EngineError
 from repro.mapping.composition_problem import CompositionProblem
 from repro.mapping.mapping import Mapping
 
 __all__ = [
-    "BatchBackend",
     "BatchConfig",
     "ProblemStatus",
     "BatchItemResult",
     "BatchReport",
     "BatchComposer",
 ]
-
-
-class BatchBackend(str, enum.Enum):
-    """Execution backend of a :class:`BatchComposer`."""
-
-    AUTO = "auto"
-    SERIAL = "serial"
-    THREAD = "thread"
-    PROCESS = "process"
 
 
 class ProblemStatus(enum.Enum):
@@ -73,14 +69,6 @@ class BatchConfig:
 
     Attributes
     ----------
-    backend:
-        ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"`` (the default),
-        which resolves to ``serial``: composition is GIL-bound pure Python, so
-        threads cannot speed it up and process pools only pay off for large
-        problems — pick ``thread`` (GIL-releasing jobs) or ``process``
-        (big CPU-bound jobs) explicitly when they fit the workload.
-    max_workers:
-        Pool size for the thread/process backends (``None`` = executor default).
     timeout_seconds:
         Soft per-problem wall-clock budget; a problem that runs longer is
         reported as :attr:`ProblemStatus.TIMED_OUT` and its result discarded.
@@ -89,8 +77,7 @@ class BatchConfig:
         The :class:`ComposerConfig` used by ``run`` / ``run_chains``.
     share_expression_cache:
         Activate one :class:`ExpressionCache` across the whole batch so
-        repeated sub-expressions are simplified once (per worker process when
-        the ``process`` backend is used).
+        repeated sub-expressions are simplified once.
     cache_max_entries:
         Size bound of the shared cache.
     share_checkpoints:
@@ -98,12 +85,7 @@ class BatchConfig:
         composer and thread it through every ``run_chains`` job, so chains
         sharing a fingerprinted prefix — within one batch or across
         successive batches on the same composer, the schema-evolution
-        edit-replay pattern — recompose incrementally.  This applies to the
-        ``serial`` and ``thread`` backends; ``process`` workers keep private
-        per-batch stores (pre-seeded from the composer's store, which the
-        parent can fill via ``composer.checkpoints.seed(...)``), because
-        checkpoints recorded in a worker die with that batch's pool — the
-        same memory-isolation trade the expression cache makes.
+        edit-replay pattern — recompose incrementally.
     checkpoint_max_entries:
         Size bound of the checkpoint store.
     pause_gc:
@@ -120,8 +102,6 @@ class BatchConfig:
         Re-raise the first problem failure instead of isolating it.
     """
 
-    backend: str = BatchBackend.AUTO.value
-    max_workers: Optional[int] = None
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
     share_expression_cache: bool = True
@@ -132,23 +112,8 @@ class BatchConfig:
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            BatchBackend(self.backend)
-        except ValueError:
-            raise EngineError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{[b.value for b in BatchBackend]}"
-            ) from None
-        if self.max_workers is not None and self.max_workers < 1:
-            raise EngineError("max_workers must be positive")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise EngineError("timeout_seconds must be positive")
-
-    def resolved_backend(self) -> str:
-        """The concrete backend ``auto`` resolves to."""
-        if self.backend != BatchBackend.AUTO.value:
-            return self.backend
-        return BatchBackend.SERIAL.value
 
 
 @dataclass(frozen=True)
@@ -175,7 +140,6 @@ class BatchReport:
     """Aggregate outcome of one batch run."""
 
     items: Tuple[BatchItemResult, ...]
-    backend: str
     elapsed_seconds: float
     cache_stats: Optional[dict] = None
     checkpoint_stats: Optional[dict] = None
@@ -212,7 +176,7 @@ class BatchReport:
         return len(self.items) / self.elapsed_seconds
 
     def total_problem_seconds(self) -> float:
-        """Sum of per-problem execution times (>= wall time under parallelism)."""
+        """Sum of per-problem execution times (the wall time minus batch overhead)."""
         return sum(item.elapsed_seconds for item in self.items)
 
     def mean_fraction_eliminated(self) -> float:
@@ -240,7 +204,7 @@ class BatchReport:
         """A short human-readable summary of the batch."""
         lines = [
             f"{len(self.succeeded)}/{len(self.items)} problems succeeded "
-            f"on the {self.backend} backend in {self.elapsed_seconds:.2f} s "
+            f"in {self.elapsed_seconds:.2f} s "
             f"({self.throughput():.1f} problems/s)",
         ]
         if self.failed:
@@ -261,54 +225,7 @@ class BatchReport:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (
-            f"<BatchReport: {len(self.succeeded)}/{len(self.items)} succeeded "
-            f"via {self.backend}>"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Worker functions (module-level so the process backend can pickle them)
-# ---------------------------------------------------------------------------
-
-
-def _timed_call(
-    fn: Callable[[object], object], item: object
-) -> Tuple[object, float, bool]:
-    """Run one job, timing it and capturing (not raising) its failure.
-
-    Returns ``(payload_or_exception, elapsed_seconds, succeeded)``.  Catching
-    inside the worker keeps the measured time the job's own runtime (never the
-    collector's queue wait) and lets the process backend ship the exception
-    object back across the pickle boundary.
-    """
-    started = time.perf_counter()
-    try:
-        payload = fn(item)
-    except Exception as exc:  # noqa: BLE001 - failure isolation by design
-        return exc, time.perf_counter() - started, False
-    return payload, time.perf_counter() - started, True
-
-
-def _compose_job(args: Tuple[CompositionProblem, ComposerConfig]) -> object:
-    problem, config = args
-    return compose(problem, config)
-
-
-#: Per-process checkpoint store installed by the process-pool initializer
-#: (``None`` in the parent process and in workers without checkpoint sharing).
-_worker_checkpoints: Optional[CheckpointStore] = None
-
-
-def _compose_chain_job(
-    args: Tuple[Sequence[Mapping], ComposerConfig, Optional[CheckpointStore]]
-) -> ChainResult:
-    mappings, config, checkpoints = args
-    if checkpoints is None:
-        # Process backend: the store does not travel with the job — each
-        # worker uses its own pre-seeded store installed by the initializer.
-        checkpoints = _worker_checkpoints
-    return compose_chain(mappings, config, checkpoints=checkpoints)
+        return f"<BatchReport: {len(self.succeeded)}/{len(self.items)} succeeded>"
 
 
 @contextlib.contextmanager
@@ -329,41 +246,13 @@ def _gc_paused(enabled: bool):
         gc.enable()
 
 
-def _process_pool_initializer(
-    cache_max_entries: int,
-    seeds: Tuple = (),
-    checkpoint_max_entries: int = 0,
-    checkpoint_seeds: Tuple[ChainCheckpoint, ...] = (),
-) -> None:
-    # Each worker process gets its own cache: memory is not shared across
-    # processes, but within one worker the batch's repetition still pays off.
-    # ``seeds`` are representative expressions from the batch (constraint
-    # sides); interning them up front ships a pre-warmed cache to the worker,
-    # so the first problems start from shared, summarized structure.
-    if cache_max_entries > 0:
-        cache = activate_cache(ExpressionCache(max_entries=cache_max_entries))
-        for expression in seeds:
-            cache.intern(expression)
-    # Checkpoints are pre-seeded the same way: tokens are deterministic
-    # digests, so the parent's recorded prefixes are recognized verbatim in
-    # the worker and chain jobs resume after them.
-    global _worker_checkpoints
-    if checkpoint_max_entries > 0:
-        _worker_checkpoints = CheckpointStore(max_entries=checkpoint_max_entries)
-        _worker_checkpoints.seed(checkpoint_seeds)
-    else:
-        _worker_checkpoints = None
-
-
 class BatchComposer:
     """Runs many composition problems through one configured engine.
 
     The composer is stateful across runs: with ``share_checkpoints`` enabled
     it keeps one hop-checkpoint store, so successive ``run_chains`` batches
     over evolving chains (the schema-editing pattern: every batch is the
-    previous chain plus a delta) recompose incrementally on the serial and
-    thread backends (see ``BatchConfig.share_checkpoints`` for the process
-    backend's worker-local behaviour).
+    previous chain plus a delta) recompose incrementally.
     """
 
     def __init__(
@@ -376,7 +265,7 @@ class BatchComposer:
         other externally owned store) to share recorded hops beyond this
         composer's lifetime.  An explicit store wins over the
         ``share_checkpoints`` setting (it is threaded through ``run_chains``
-        either way); process workers still keep private pre-seeded copies."""
+        either way)."""
         self.config = config or BatchConfig()
         if checkpoints is not None:
             self.checkpoints: Optional[CheckpointStore] = checkpoints
@@ -394,71 +283,59 @@ class BatchComposer:
         fn: Callable[[object], object],
         items: Sequence[object],
         labels: Optional[Sequence[str]] = None,
-        seeds: Tuple = (),
-        checkpoint_seeds: Tuple = (),
     ) -> BatchReport:
-        """Apply ``fn`` to every item with the configured backend.
-
-        Results are reported in submission order regardless of completion
-        order.  With the ``process`` backend, ``fn`` and the items must be
-        picklable (module-level functions; the built-in ``run`` and
-        ``run_chains`` jobs are) and ``seeds`` (representative expressions
-        gathered by the composition-aware entry points) pre-warm each worker's
-        expression cache; ``checkpoint_seeds`` pre-warm each worker's
-        hop-checkpoint store the same way.
-        """
+        """Apply ``fn`` to every item, in-process and in submission order."""
         if labels is None:
             labels = [f"problem[{index}]" for index in range(len(items))]
         elif len(labels) != len(items):
             raise EngineError("labels must match items one-to-one")
 
-        backend = self.config.resolved_backend()
         started = time.perf_counter()
-        cache_stats: Optional[dict] = None
-
-        with _gc_paused(self.config.pause_gc):
-            if backend == BatchBackend.PROCESS.value:
-                results = self._map_pool(
-                    fn,
-                    items,
-                    labels,
-                    process=True,
-                    seeds=seeds,
-                    checkpoint_seeds=checkpoint_seeds,
+        cache: Optional[ExpressionCache] = None
+        with _gc_paused(self.config.pause_gc), contextlib.ExitStack() as stack:
+            if self.config.share_expression_cache:
+                cache = stack.enter_context(
+                    shared_expression_cache(
+                        ExpressionCache(max_entries=self.config.cache_max_entries)
+                    )
                 )
-            elif self.config.share_expression_cache:
-                cache = ExpressionCache(max_entries=self.config.cache_max_entries)
-                with shared_expression_cache(cache):
-                    if backend == BatchBackend.THREAD.value:
-                        results = self._map_pool(fn, items, labels, process=False)
-                    else:
-                        results = self._map_serial(fn, items, labels)
-                cache_stats = cache.stats()
-            else:
-                if backend == BatchBackend.THREAD.value:
-                    results = self._map_pool(fn, items, labels, process=False)
-                else:
-                    results = self._map_serial(fn, items, labels)
+            results = [
+                self._run_one(index, label, fn, item)
+                for index, (item, label) in enumerate(zip(items, labels))
+            ]
 
         return BatchReport(
             items=tuple(results),
-            backend=backend,
             elapsed_seconds=time.perf_counter() - started,
-            cache_stats=cache_stats,
-            # Like cache_stats, checkpoint counters are only reported when the
-            # parent process can observe them: process workers keep private
-            # stores, so the parent's counters would misstate what happened.
+            cache_stats=cache.stats() if cache is not None else None,
             checkpoint_stats=(
-                self.checkpoints.stats()
-                if self.checkpoints is not None
-                and backend != BatchBackend.PROCESS.value
-                else None
+                self.checkpoints.stats() if self.checkpoints is not None else None
             ),
         )
 
-    def _classify(
-        self, index: int, label: str, payload: object, elapsed: float
+    def _run_one(
+        self, index: int, label: str, fn: Callable[[object], object], item: object
     ) -> BatchItemResult:
+        """Run one job, timing it and isolating (or, with ``fail_fast``,
+        re-raising) its failure."""
+        started = time.perf_counter()
+        try:
+            payload = fn(item)
+        except Exception as exc:  # noqa: BLE001 - failure isolation by design
+            elapsed = time.perf_counter() - started
+            if self.config.fail_fast:
+                raise
+            detail = "".join(
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ).strip()
+            return BatchItemResult(
+                index=index,
+                label=label,
+                status=ProblemStatus.FAILED,
+                error=detail,
+                elapsed_seconds=elapsed,
+            )
+        elapsed = time.perf_counter() - started
         timeout = self.config.timeout_seconds
         if timeout is not None and elapsed > timeout:
             return BatchItemResult(
@@ -476,256 +353,39 @@ class BatchComposer:
             elapsed_seconds=elapsed,
         )
 
-    def _failure(self, index: int, label: str, exc: Exception, elapsed: float) -> BatchItemResult:
-        if self.config.fail_fast:
-            raise exc
-        detail = "".join(
-            traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ).strip()
-        return BatchItemResult(
-            index=index,
-            label=label,
-            status=ProblemStatus.FAILED,
-            error=detail,
-            elapsed_seconds=elapsed,
-        )
-
-    def _map_serial(
-        self, fn: Callable[[object], object], items: Sequence[object], labels: Sequence[str]
-    ) -> List[BatchItemResult]:
-        results = []
-        for index, (item, label) in enumerate(zip(items, labels)):
-            payload, elapsed, succeeded = _timed_call(fn, item)
-            if succeeded:
-                results.append(self._classify(index, label, payload, elapsed))
-            else:
-                results.append(self._failure(index, label, payload, elapsed))
-        return results
-
-    def _map_pool(
-        self,
-        fn: Callable[[object], object],
-        items: Sequence[object],
-        labels: Sequence[str],
-        process: bool,
-        seeds: Tuple = (),
-        checkpoint_seeds: Tuple = (),
-    ) -> List[BatchItemResult]:
-        if process:
-            use_initializer = (
-                self.config.share_expression_cache or self.config.share_checkpoints
-            )
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.config.max_workers,
-                initializer=_process_pool_initializer if use_initializer else None,
-                initargs=(
-                    self.config.cache_max_entries
-                    if self.config.share_expression_cache
-                    else 0,
-                    seeds,
-                    self.config.checkpoint_max_entries
-                    if self.config.share_checkpoints
-                    else 0,
-                    checkpoint_seeds,
-                )
-                if use_initializer
-                else (),
-            )
-        else:
-            executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.config.max_workers
-            )
-        results: List[BatchItemResult] = []
-        try:
-            futures = [executor.submit(_timed_call, fn, item) for item in items]
-            for index, (future, label) in enumerate(zip(futures, labels)):
-                try:
-                    payload, elapsed, succeeded = future.result()
-                except Exception as exc:
-                    # The pool itself failed (broken process, unpicklable
-                    # job); the job's own exceptions come back as payloads.
-                    payload, elapsed, succeeded = exc, 0.0, False
-                if succeeded:
-                    results.append(self._classify(index, label, payload, elapsed))
-                else:
-                    results.append(self._failure(index, label, payload, elapsed))
-        except BaseException:
-            # fail_fast (or a caller interrupt): drop the queued jobs so the
-            # shutdown below does not first drain the whole batch.
-            executor.shutdown(wait=False, cancel_futures=True)
-            raise
-        finally:
-            executor.shutdown(wait=True)
-        return results
-
     # -- composition-aware entry points ---------------------------------------
 
-    #: Bound on the number of constraint-side expressions shipped to process
-    #: workers as cache seeds (keeps the pickled initializer payload small).
-    MAX_PROCESS_SEEDS = 512
-
-    #: Bound on the number of hop checkpoints shipped to process workers
-    #: (deepest first — a deep prefix subsumes every shallower one; the
-    #: checkpoints carry whole constraint sets, so the bound is tighter).
-    MAX_PROCESS_CHECKPOINT_SEEDS = 64
-
-    def _collect_seeds(self, constraint_sets) -> Tuple:
-        """Unique constraint sides to pre-warm process-worker caches with."""
-        if self.config.resolved_backend() != BatchBackend.PROCESS.value or (
-            not self.config.share_expression_cache
-        ):
-            return ()
-        seeds = {}
-        for constraints in constraint_sets:
-            for constraint in constraints:
-                for side in (constraint.left, constraint.right):
-                    if side not in seeds:
-                        seeds[side] = None
-                        if len(seeds) >= self.MAX_PROCESS_SEEDS:
-                            return tuple(seeds)
-        return tuple(seeds)
-
-    def run_partitioned(self, problems: Sequence[CompositionProblem]) -> BatchReport:
-        """Compose every problem with the cost-guided planner, running each
-        problem's independent constraint-graph components as sub-tasks on this
-        composer's backend (*intra*-problem parallelism, unlike :meth:`run`,
-        which parallelizes across problems).
-
-        The problems are walked in order; for each one, :func:`compose` plans
-        the partition and fans the per-component eliminations out to the
-        backend's pool (``serial`` composes components in-process).  Merging
-        happens in plan order, so payloads are byte-identical across backends.
-        A ``composer_config`` with ``elimination_order="fixed"`` is switched
-        to ``"cost"`` for these runs — partitioning *is* the planner — and an
-        explicit ``symbol_order`` is dropped with it (the planner computes
-        its own order; the two cannot be combined).
-
-        Accepts plain :class:`CompositionProblem` objects or objects with a
-        ``problem`` attribute (e.g. the workload generator's
-        ``PartitionedProblem``).  Payloads are :class:`CompositionResult`
-        objects; per-problem failures and soft timeouts are isolated exactly
-        as in :meth:`map`.
-        """
-        config = self.config.composer_config
-        if config.elimination_order != "cost":
-            config = replace(config, elimination_order="cost", symbol_order=None)
-        unwrapped = [getattr(problem, "problem", problem) for problem in problems]
-        labels = [
-            problem.name or f"problem[{index}]"
-            for index, problem in enumerate(unwrapped)
-        ]
-        backend = self.config.resolved_backend()
-        started = time.perf_counter()
-        cache_stats: Optional[dict] = None
-        results: List[BatchItemResult] = []
-
-        def run_all(executor) -> None:
-            for index, (problem, label) in enumerate(zip(unwrapped, labels)):
-                payload, elapsed, succeeded = _timed_call(
-                    lambda item: compose(item, config, executor=executor), problem
-                )
-                if succeeded:
-                    results.append(self._classify(index, label, payload, elapsed))
-                else:
-                    results.append(self._failure(index, label, payload, elapsed))
-
-        cache: Optional[ExpressionCache] = None
-        with _gc_paused(self.config.pause_gc), contextlib.ExitStack() as stack:
-            executor = None
-            if backend == BatchBackend.PROCESS.value:
-                seeds = self._collect_seeds(
-                    constraints
-                    for problem in unwrapped
-                    for constraints in (problem.sigma12, problem.sigma23)
-                )
-                warm_workers = self.config.share_expression_cache
-                executor = stack.enter_context(
-                    concurrent.futures.ProcessPoolExecutor(
-                        max_workers=self.config.max_workers,
-                        initializer=_process_pool_initializer if warm_workers else None,
-                        initargs=(self.config.cache_max_entries, seeds)
-                        if warm_workers
-                        else (),
-                    )
-                )
-            elif backend == BatchBackend.THREAD.value:
-                executor = stack.enter_context(
-                    concurrent.futures.ThreadPoolExecutor(
-                        max_workers=self.config.max_workers
-                    )
-                )
-            if self.config.share_expression_cache and backend != BatchBackend.PROCESS.value:
-                # The module-level activation is visible to the pool's worker
-                # threads, so component sub-tasks share the cache too.
-                cache = ExpressionCache(max_entries=self.config.cache_max_entries)
-                stack.enter_context(shared_expression_cache(cache))
-            run_all(executor)
-        if cache is not None:
-            cache_stats = cache.stats()
-
-        return BatchReport(
-            items=tuple(results),
-            backend=backend,
-            elapsed_seconds=time.perf_counter() - started,
-            cache_stats=cache_stats,
-        )
-
     def run(self, problems: Sequence[CompositionProblem]) -> BatchReport:
-        """Compose every problem; payloads are :class:`CompositionResult` objects."""
+        """Compose every problem; payloads are :class:`CompositionResult` objects.
+
+        Under a cost-guided ``composer_config``
+        (:meth:`ComposerConfig.cost_guided`) every problem goes through the
+        planner, which composes its independent components one after another.
+        """
         labels = [
             problem.name or f"problem[{index}]" for index, problem in enumerate(problems)
         ]
-        jobs = [(problem, self.config.composer_config) for problem in problems]
-        seeds = self._collect_seeds(
-            constraints
-            for problem in problems
-            for constraints in (problem.sigma12, problem.sigma23)
-        )
-        return self.map(_compose_job, jobs, labels=labels, seeds=seeds)
+        config = self.config.composer_config
+        return self.map(lambda problem: compose(problem, config), problems, labels=labels)
 
     def run_chains(self, chains: Sequence[Sequence[Mapping]]) -> BatchReport:
         """Compose every chain of mappings; payloads are :class:`ChainResult` objects.
 
         Accepts plain sequences of mappings or objects with a ``mappings``
         attribute (e.g. the workload generator's ``ChainProblem``).  With
-        ``share_checkpoints`` enabled, every serial/thread job records and
-        reuses hop checkpoints in the composer's store — within this batch
-        and across earlier batches on the same composer — so chains that
-        extend or edit previously composed chains replay only the changed
-        suffix.  Process workers keep private per-batch stores pre-seeded
-        with the composer's deepest recorded checkpoints; their new
-        checkpoints stay in the worker (like the expression cache), so
-        cross-batch reuse on the process backend requires seeding the
-        composer's store explicitly (``composer.checkpoints.seed(...)``).
+        ``share_checkpoints`` enabled, every job records and reuses hop
+        checkpoints in the composer's store — within this batch and across
+        earlier batches on the same composer — so chains that extend or edit
+        previously composed chains replay only the changed suffix.
         """
-        process = self.config.resolved_backend() == BatchBackend.PROCESS.value
-        shared_store = None if process else self.checkpoints
-        labels = []
-        jobs = []
-        for index, chain in enumerate(chains):
-            label = getattr(chain, "name", "") or f"chain[{index}]"
-            mappings = getattr(chain, "mappings", chain)
-            labels.append(label)
-            jobs.append((tuple(mappings), self.config.composer_config, shared_store))
-        seeds = self._collect_seeds(
-            mapping.constraints for mappings, _, _ in jobs for mapping in mappings
-        )
-        checkpoint_seeds: Tuple = ()
-        if process and self.checkpoints is not None:
-            # A persistent store freshly constructed after a restart has an
-            # empty in-memory table; pull its disk entries in first so the
-            # deepest-first snapshot below actually sees them and process
-            # workers resume recorded prefixes across restarts too.
-            warm = getattr(self.checkpoints, "warm", None)
-            if warm is not None:
-                warm()
-            checkpoint_seeds = self.checkpoints.snapshot(
-                limit=self.MAX_PROCESS_CHECKPOINT_SEEDS
-            )
+        labels = [
+            getattr(chain, "name", "") or f"chain[{index}]"
+            for index, chain in enumerate(chains)
+        ]
+        jobs = [tuple(getattr(chain, "mappings", chain)) for chain in chains]
+        config = self.config.composer_config
         return self.map(
-            _compose_chain_job,
+            lambda mappings: compose_chain(mappings, config, checkpoints=self.checkpoints),
             jobs,
             labels=labels,
-            seeds=seeds,
-            checkpoint_seeds=checkpoint_seeds,
         )

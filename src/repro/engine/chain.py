@@ -225,7 +225,6 @@ def compose_chain(
     retry_residuals: bool = True,
     cache: Optional["ExpressionCache"] = None,
     checkpoints: Optional["CheckpointStore"] = None,
-    executor=None,
 ) -> ChainResult:
     """Compose ``m12 ∘ m23 ∘ … ∘ m(n-1)(n)`` by folding through :func:`compose`.
 
@@ -257,13 +256,6 @@ def compose_chain(
         function of the config and the mappings up to it, which is exactly
         what the token names.  Outputs are byte-identical with the store
         hot, cold, or absent; ``ChainResult.reused_hops`` reports the savings.
-    executor:
-        Optional ``concurrent.futures`` executor handed to every hop's
-        :func:`compose` call.  With the cost-guided planner active
-        (``config.elimination_order == "cost"``) each hop's independent
-        constraint-graph components then run as parallel sub-tasks on it —
-        intra-problem parallelism on top of the fold; the fixed-order path
-        ignores it.
 
     Returns the :class:`ChainResult`; a single-mapping chain returns a trivial
     result with zero hops.
@@ -272,13 +264,7 @@ def compose_chain(
         from repro.algebra.interning import shared_expression_cache
 
         with shared_expression_cache(cache):
-            return compose_chain(
-                mappings,
-                config,
-                retry_residuals,
-                checkpoints=checkpoints,
-                executor=executor,
-            )
+            return compose_chain(mappings, config, retry_residuals, checkpoints=checkpoints)
     validate_chain(mappings)
     config = config or ComposerConfig()
     started = time.perf_counter()
@@ -326,7 +312,7 @@ def compose_chain(
             name=f"chain hop {index}",
         )
         assembly_seconds = time.perf_counter() - hop_started
-        result = compose(problem, config, executor=executor)
+        result = compose(problem, config)
         residual = result.residual_sigma2 if retry_residuals else residual.union(
             result.residual_sigma2
         )

@@ -15,14 +15,14 @@ cache: dropping any entry is always safe (the fold recomputes it), results
 are byte-identical with the store hot, cold, or absent, and sharing between
 threads is harmless because entries are immutable and keyed by content.
 Checkpoints pickle cleanly (tokens are deterministic digests), which is how
-the batch engine pre-seeds process-pool workers with them.
+:mod:`repro.catalog.checkpoints` persists them across restarts.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.constraints.constraint_set import ConstraintSet
@@ -141,24 +141,6 @@ class CheckpointStore:
 
     def _persist(self, checkpoint: ChainCheckpoint) -> None:
         """Write-through hook invoked after every :meth:`put` (no-op here)."""
-
-    def seed(self, checkpoints: Iterable[ChainCheckpoint]) -> None:
-        """Record many checkpoints (used to pre-warm process-pool workers)."""
-        for checkpoint in checkpoints:
-            self.put(checkpoint)
-
-    def snapshot(self, limit: Optional[int] = None) -> Tuple[ChainCheckpoint, ...]:
-        """Up to ``limit`` recorded checkpoints, deepest first.
-
-        Deepest first because when the snapshot is truncated (shipping
-        checkpoints to process workers bounds the pickled payload), the long
-        prefixes are the valuable ones — a deep checkpoint subsumes every
-        shallower checkpoint of the same chain.
-        """
-        ordered = sorted(
-            self._entries.values(), key=lambda cp: cp.hop_count, reverse=True
-        )
-        return tuple(ordered[:limit] if limit is not None else ordered)
 
     def clear(self) -> None:
         """Drop every recorded checkpoint and reset the counters."""

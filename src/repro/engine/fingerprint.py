@@ -15,8 +15,8 @@ of hops ``0..i``, hence — COMPOSE being deterministic — on the accumulated
 constraints, the threaded residuals and every per-symbol outcome.
 
 All component fingerprints are deterministic digests (no per-process salted
-hashing), so tokens recorded in one process match tokens recomputed in a
-process-pool worker — checkpoints ship across the pickle boundary intact.
+hashing), so tokens recorded in one process match tokens recomputed in
+another — a checkpoint persisted before a restart is recognized after it.
 """
 
 from __future__ import annotations

@@ -169,11 +169,6 @@ class EditingStudy:
         return mean(constraint_counts), mean(operator_counts)
 
 
-def _editing_run_job(kwargs: dict) -> EditingScenarioResult:
-    """Module-level job wrapper (picklable for the process backend)."""
-    return run_editing_scenario(**kwargs)
-
-
 def _reconciliation_job(kwargs: dict):
     """Module-level reconciliation job (shared by the Figure 6 and 7 drivers)."""
     record, _ = run_reconciliation_scenario(**kwargs)
@@ -196,8 +191,9 @@ def run_editing_study(
     100 edits per run, 100 runs), which takes considerably longer.  All
     configuration × run combinations are independent (each run owns its seed),
     so they are dispatched as one batch through ``batch`` (a
-    :class:`BatchComposer`; a default serial one when omitted) — pass a
-    thread/process-backed composer to spread paper-scale studies over cores.
+    :class:`BatchComposer`; a default one when omitted), which runs them in
+    order in this process with failure isolation and one shared expression
+    cache.
     """
     if paper_scale:
         schema_size, num_edits, runs = 30, 100, 100
@@ -220,7 +216,7 @@ def run_editing_study(
                     event_vector=event_vector,
                 )
             )
-    report = batch.map(_editing_run_job, jobs, labels=labels)
+    report = batch.map(lambda kwargs: run_editing_scenario(**kwargs), jobs, labels=labels)
     report.raise_failures()
 
     study = EditingStudy(schema_size=schema_size, num_edits=num_edits, runs=runs)

@@ -30,7 +30,9 @@
 * :mod:`repro.service.election` — :class:`LeaderElector`, unattended
   failover behind ``repro serve --election``: candidates watch primary
   health, race for the ``leader`` lease when it goes silent, and the winner
-  self-promotes with a fresh fencing epoch (no ``/admin/promote`` needed).
+  self-promotes with a fresh fencing epoch (no ``/admin/promote`` needed);
+* :mod:`repro.service.wire` — the request-handler base the service and the
+  router share (logging, response writers, trace-context echo).
 """
 
 from repro.service.breaker import CircuitBreaker

@@ -68,7 +68,7 @@ import math
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -82,6 +82,7 @@ from repro.exceptions import (
     StaleEpochError,
 )
 from repro.service.server import CompositionService
+from repro.service.wire import BaseHandler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports catalog)
     from repro.service.election import LeaderElector
@@ -94,31 +95,11 @@ __all__ = ["ServiceHTTPServer", "serve"]
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(BaseHandler):
     # ``self.server`` is the ThreadingHTTPServer; ServiceHTTPServer pins the
     # ``service`` and ``verbose`` attributes onto it before serving starts.
 
     # -- plumbing ------------------------------------------------------------------
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(self, status: int, body: bytes, content_type: str, headers: Tuple[Tuple[str, str], ...] = ()) -> None:
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in headers:
-            self.send_header(key, value)
-        context = obs.current()
-        if context is not None:
-            # Echo the request's trace identity so clients (and the router's
-            # relay loop) can correlate the response with the span tree.
-            self.send_header(obs.TRACE_ID_HEADER, context.trace_id)
-            self.send_header(obs.SPAN_ID_HEADER, context.span_id)
-        self.end_headers()
-        self.wfile.write(body)
 
     def _traced(self, method: str, inner: Callable[[], None]) -> None:
         """Run one request inside an ingress span.
@@ -182,13 +163,6 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except OSError:  # pragma: no cover - stderr gone; telemetry stays silent
             pass
-
-    def _send_text(self, status: int, text: str, headers: Tuple[Tuple[str, str], ...] = ()) -> None:
-        self._send(status, text.encode("utf-8"), "text/plain; charset=utf-8", headers)
-
-    def _send_json(self, status: int, payload: object, headers: Tuple[Tuple[str, str], ...] = ()) -> None:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        self._send(status, body.encode("utf-8"), "application/json", headers)
 
     def _retry_after(self) -> Tuple[Tuple[str, str], ...]:
         """A ``Retry-After`` of one breaker probe interval (never below 1s).

@@ -9,8 +9,7 @@ output.  Collected:
 * request counters — submitted, completed, failed, timed out, coalesced into
   an in-flight duplicate, rejected by admission control, blocked waiting for
   queue space, expired past their admission deadline;
-* batching — number of micro-batches executed, mean batch size, per-backend
-  batch counts;
+* batching — number of micro-batches executed and mean batch size;
 * latency — cumulative queue-wait and execution seconds (with means);
 * composition phases — the per-phase wall-clock buckets of every served
   result (:mod:`repro.compose.phases`), summed; and
@@ -120,7 +119,6 @@ class ServiceMetrics:
         self.batched_items = 0
         self.queue_seconds = 0.0
         self.execution_seconds = 0.0
-        self._batch_backends: Dict[str, int] = {}
         self._phase_seconds: Dict[str, float] = {}
         self._cache_hits = 0.0
         self._cache_misses = 0.0
@@ -186,11 +184,10 @@ class ServiceMetrics:
                 self._gc_sweep_failure_types.get(error_type, 0) + 1
             )
 
-    def record_batch(self, size: int, backend: str, cache_stats: Optional[dict]) -> None:
+    def record_batch(self, size: int, cache_stats: Optional[dict]) -> None:
         with self._lock:
             self.batches += 1
             self.batched_items += size
-            self._batch_backends[backend] = self._batch_backends.get(backend, 0) + 1
             if cache_stats:
                 self._cache_hits += cache_stats.get("hits", 0)
                 self._cache_misses += cache_stats.get("misses", 0)
@@ -322,7 +319,6 @@ class ServiceMetrics:
                     "mean_batch_size": (
                         self.batched_items / self.batches if self.batches else 0.0
                     ),
-                    "backends": dict(self._batch_backends),
                 },
                 "latency": {
                     "queue_seconds_total": self.queue_seconds,

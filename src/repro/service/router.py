@@ -44,20 +44,31 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.error import HTTPError, URLError
 from urllib.request import Request, urlopen
 
 from repro import faults, obs
 from repro.exceptions import ServiceError
+from repro.service.wire import BaseHandler
 
 __all__ = ["BackendState", "RouterHTTPServer", "route"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
-#: Headers that must not be forwarded verbatim from a proxied response.
-_HOP_HEADERS = {"connection", "keep-alive", "transfer-encoding", "server", "date"}
+#: Headers that must not be forwarded verbatim from a proxied response.  The
+#: backend's trace echo is among them: the router's own response echoes its
+#: ingress span, the root of the merged tree.
+_HOP_HEADERS = {
+    "connection",
+    "keep-alive",
+    "transfer-encoding",
+    "server",
+    "date",
+    obs.TRACE_ID_HEADER,
+    obs.SPAN_ID_HEADER,
+}
 
 
 class BackendState:
@@ -109,32 +120,9 @@ class BackendState:
         }
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(BaseHandler):
     # ``self.server`` is the ThreadingHTTPServer; RouterHTTPServer pins the
     # ``router`` and ``verbose`` attributes onto it before serving starts.
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _send(self, status: int, body: bytes, content_type: str,
-              headers: Tuple[Tuple[str, str], ...] = ()) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in headers:
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str,
-                   headers: Tuple[Tuple[str, str], ...] = ()) -> None:
-        self._send(status, text.encode("utf-8"), "text/plain; charset=utf-8", headers)
-
-    def _send_json(self, status: int, payload: object,
-                   headers: Tuple[Tuple[str, str], ...] = ()) -> None:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        self._send(status, body.encode("utf-8"), "application/json", headers)
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         if self.path.rstrip("/") == "/router/status":
@@ -183,12 +171,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     headers=(("Retry-After", router.retry_after_value()),),
                 )
                 return
-            context = obs.current()
-            if context is not None:
-                # Overwrite any backend echo: the client correlates with the
-                # router's ingress span, the root of the merged tree.
-                headers[obs.TRACE_ID_HEADER] = context.trace_id
-                headers[obs.SPAN_ID_HEADER] = context.span_id
             self._send(
                 status,
                 payload,

@@ -21,20 +21,15 @@ all of them at once.  :class:`CompositionService` is that front-end:
 * **micro-batching** — the serving loop drains up to ``micro_batch_size``
   requests (waiting ``micro_batch_wait_seconds`` for stragglers), groups them
   by kind and configuration, and executes each group through one
-  :class:`~repro.engine.batch.BatchComposer` call (``run`` / ``run_chains`` /
-  ``run_partitioned``), so batched requests share one expression cache and
-  one checkpoint store per batch;
+  :class:`~repro.engine.batch.BatchComposer` call (``run`` / ``run_chains``),
+  so batched requests share one expression cache and one checkpoint store
+  per batch;
 * **per-request configuration** — a submission may carry its own
   ``ComposerConfig``; configs are part of the dedup key and the grouping, so
   requests only share work when their results would be identical;
 * **durability** — given a :class:`~repro.catalog.MappingCatalog`, chain
-  requests record hop checkpoints in the catalog's *persistent* store, so a
-  restarted service answers warm.  Write-through happens on the ``serial``
-  and ``thread`` backends (the default); ``process``-backend workers are
-  *seeded* from the disk store at pool startup (so restarts still reuse
-  previously persisted prefixes) but hops they record stay worker-local —
-  the engine's usual process-isolation trade
-  (:attr:`~repro.engine.batch.BatchConfig.share_checkpoints`);
+  requests record hop checkpoints in the catalog's *persistent* store (every
+  recorded hop is written through), so a restarted service answers warm;
 * **tunable write acknowledgements** — ``ServiceConfig(ack_level)`` picks
   what a write ack promises: ``"journal"`` (fsynced into the local WAL) or
   ``"replica"`` (additionally confirmed applied by at least one follower,
@@ -128,16 +123,12 @@ class ServiceConfig:
         How long the serving loop waits for stragglers once it holds at least
         one request; ``0`` serves immediately (lowest latency, least
         batching).
-    backend / max_workers / timeout_seconds:
-        Forwarded to the underlying :class:`~repro.engine.batch.BatchConfig`
-        (execution backend of each micro-batch, pool width, soft per-request
-        budget).
+    timeout_seconds:
+        Soft per-request budget, forwarded to the underlying
+        :class:`~repro.engine.batch.BatchConfig`.
     composer_config:
         The default :class:`ComposerConfig` for requests that do not carry
         their own override.
-    share_expression_cache / cache_max_entries:
-        Expression-cache settings of each micro-batch, as in
-        :class:`~repro.engine.batch.BatchConfig`.
     gc_interval_seconds:
         With a catalog attached, run :meth:`~repro.catalog.MappingCatalog.gc`
         in a background sweep every this many seconds (``None``, the default,
@@ -192,12 +183,8 @@ class ServiceConfig:
     deadline_seconds: Optional[float] = None
     micro_batch_size: int = 16
     micro_batch_wait_seconds: float = 0.002
-    backend: str = "auto"
-    max_workers: Optional[int] = None
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
-    share_expression_cache: bool = True
-    cache_max_entries: int = 200_000
     gc_interval_seconds: Optional[float] = None
     gc_checkpoint_max_files: Optional[int] = None
     gc_checkpoint_max_age_seconds: Optional[float] = None
@@ -488,24 +475,21 @@ class CompositionService:
         self,
         problem: CompositionProblem,
         config: Optional[ComposerConfig] = None,
-        partitioned: bool = False,
         deadline_seconds: Optional[float] = None,
     ) -> Ticket:
         """Queue one composition problem; returns with a ticket once admitted.
 
-        ``partitioned`` routes the problem through
-        :meth:`~repro.engine.batch.BatchComposer.run_partitioned` (the
-        cost-guided planner with intra-problem parallel sub-tasks).
-        ``deadline_seconds`` overrides the service-wide admission deadline
-        for this request (meaningful with ``admission="block"``).
+        ``config=ComposerConfig.cost_guided()`` serves the problem through
+        the cost-guided planner.  ``deadline_seconds`` overrides the
+        service-wide admission deadline for this request (meaningful with
+        ``admission="block"``).
 
         Submissions are accepted before :meth:`start` (they queue and are
         served once the loop runs) but refused after :meth:`stop`.
         """
-        kind = "partitioned" if partitioned else "problem"
         effective = config or self.config.composer_config
-        key = self._request_key(kind, problem.fingerprint(), effective)
-        return self._enqueue(key, kind, problem, effective, deadline_seconds)
+        key = self._request_key("problem", problem.fingerprint(), effective)
+        return self._enqueue(key, "problem", problem, effective, deadline_seconds)
 
     def submit_chain(
         self,
@@ -525,11 +509,10 @@ class CompositionService:
         self,
         problem: CompositionProblem,
         config: Optional[ComposerConfig] = None,
-        partitioned: bool = False,
         timeout: Optional[float] = None,
     ):
         """Submit one problem and block for its result."""
-        return self.submit_problem(problem, config, partitioned).result(timeout)
+        return self.submit_problem(problem, config).result(timeout)
 
     def compose_chain(
         self,
@@ -676,14 +659,7 @@ class CompositionService:
         composer = self._composers.get(fingerprint)
         if composer is None:
             composer = BatchComposer(
-                BatchConfig(
-                    backend=self.config.backend,
-                    max_workers=self.config.max_workers,
-                    timeout_seconds=self.config.timeout_seconds,
-                    composer_config=config,
-                    share_expression_cache=self.config.share_expression_cache,
-                    cache_max_entries=self.config.cache_max_entries,
-                ),
+                BatchConfig(timeout_seconds=self.config.timeout_seconds, composer_config=config),
                 checkpoints=self.checkpoints,
             )
             self._composers[fingerprint] = composer
@@ -702,8 +678,6 @@ class CompositionService:
         try:
             if kind == "chain":
                 report = composer.run_chains([item.payload for item in group])
-            elif kind == "partitioned":
-                report = composer.run_partitioned([item.payload for item in group])
             else:
                 report = composer.run([item.payload for item in group])
         except Exception as exc:  # noqa: BLE001 - a broken batch must not kill the loop
@@ -718,9 +692,7 @@ class CompositionService:
             for item in group:
                 self._finish(item, None, error, elapsed / max(len(group), 1))
             return
-        self.metrics_store.record_batch(
-            size=len(group), backend=report.backend, cache_stats=report.cache_stats
-        )
+        self.metrics_store.record_batch(size=len(group), cache_stats=report.cache_stats)
         for item, outcome in zip(group, report.items):
             if outcome.status is ProblemStatus.SUCCEEDED:
                 self._finish(item, outcome, None, outcome.elapsed_seconds)
@@ -785,46 +757,50 @@ class CompositionService:
             if outcome is not None
             else ProblemStatus.FAILED.value
         )
-        for ticket in tickets:
-            if error is None:
-                ticket._deliver(payload)
-            else:
-                ticket._fail(error)
-        queue_seconds = max(0.0, time.perf_counter() - item.enqueued_at - execution_seconds)
-        self.metrics_store.record_completed(
-            status=status,
-            queue_seconds=queue_seconds,
-            execution_seconds=execution_seconds,
-            phase_seconds=_phase_seconds(payload),
-        )
-        if item.trace is not None:
-            # The serving loop is not the submitting thread, so these spans
-            # are recorded retroactively against the submitter's context:
-            # queue wait, then execution, with the composition's per-phase
-            # buckets bridged as children of the execution span.
-            obs.record_span(
-                "service.queue",
-                parent=item.trace,
-                started_at=item.enqueued_wall,
-                duration=queue_seconds,
-                kind=item.kind,
+        # Metrics and spans are recorded before any caller wakes, so a
+        # /metrics or /trace read issued right after the response sees them.
+        try:
+            queue_seconds = max(0.0, time.perf_counter() - item.enqueued_at - execution_seconds)
+            self.metrics_store.record_completed(
+                status=status,
+                queue_seconds=queue_seconds,
+                execution_seconds=execution_seconds,
+                phase_seconds=_phase_seconds(payload),
             )
-            execute = obs.record_span(
-                "service.execute",
-                parent=item.trace,
-                started_at=item.enqueued_wall + queue_seconds,
-                duration=execution_seconds,
-                kind=item.kind,
-                status_value=status,
-            )
-            phase_start = item.enqueued_wall + queue_seconds
-            for phase, seconds in _phase_seconds(payload):
+            if item.trace is not None:
+                # The serving loop is not the submitting thread, so these spans
+                # are recorded retroactively against the submitter's context:
+                # queue wait, then execution, with the composition's per-phase
+                # buckets bridged as children of the execution span.
                 obs.record_span(
-                    phases.span_name(phase),
-                    parent=execute,
-                    started_at=phase_start,
-                    duration=seconds,
+                    "service.queue",
+                    parent=item.trace,
+                    started_at=item.enqueued_wall,
+                    duration=queue_seconds,
+                    kind=item.kind,
                 )
+                execute = obs.record_span(
+                    "service.execute",
+                    parent=item.trace,
+                    started_at=item.enqueued_wall + queue_seconds,
+                    duration=execution_seconds,
+                    kind=item.kind,
+                    status_value=status,
+                )
+                phase_start = item.enqueued_wall + queue_seconds
+                for phase, seconds in _phase_seconds(payload):
+                    obs.record_span(
+                        phases.span_name(phase),
+                        parent=execute,
+                        started_at=phase_start,
+                        duration=seconds,
+                    )
+        finally:
+            for ticket in tickets:
+                if error is None:
+                    ticket._deliver(payload)
+                else:
+                    ticket._fail(error)
 
     # -- garbage collection --------------------------------------------------------
 

@@ -336,33 +336,40 @@ class TestPersistentCheckpoints:
             == memory.constraints.to_text()
         )
 
-    def test_warm_and_purge(self, tmp_path, chain):
+    def test_purge(self, tmp_path, chain):
         store = PersistentCheckpointStore(tmp_path / "ckpt")
         compose_chain(chain, checkpoints=store)
         on_disk = store.disk_entries()
 
         fresh = PersistentCheckpointStore(tmp_path / "ckpt")
-        assert fresh.warm() == on_disk
-        assert len(fresh.snapshot()) == on_disk  # now visible to process seeding
-
         assert fresh.purge() == on_disk
         assert fresh.disk_entries() == 0
         assert compose_chain(chain, checkpoints=fresh).reused_hops == 0
 
-    def test_process_backend_restart_seeded_from_disk(self, tmp_path, chain):
+    def test_warm_and_purge(self, tmp_path, chain):
+        store = PersistentCheckpointStore(tmp_path / "ckpt")
+        compose_chain(chain, checkpoints=store)
+        on_disk = store.disk_entries()
+
+        # A fresh store warms its memory table by reading through from disk;
+        # purge must drop those warmed entries along with the files.
+        fresh = PersistentCheckpointStore(tmp_path / "ckpt")
+        assert compose_chain(chain, checkpoints=fresh).reused_hops == len(chain) - 1
+        assert len(fresh) > 0
+        assert fresh.purge() == on_disk
+        assert len(fresh) == 0
+        assert compose_chain(chain, checkpoints=fresh).reused_hops == 0
+
+    def test_restarted_composer_resumes_from_disk(self, tmp_path, chain):
         from repro.engine import BatchComposer
-        from repro.engine.batch import BatchConfig
 
         store = PersistentCheckpointStore(tmp_path / "ckpt")
         reference = compose_chain(chain, checkpoints=store)
 
-        # A restarted process-backend composer: its persistent store starts
-        # with an empty memory table, but run_chains warms it from disk
-        # before seeding the pool, so workers resume the recorded prefix.
+        # A restarted composer: its persistent store starts with an empty
+        # memory table, so every hop it resumes is read through from disk.
         fresh = PersistentCheckpointStore(tmp_path / "ckpt")
-        composer = BatchComposer(
-            BatchConfig(backend="process", max_workers=1), checkpoints=fresh
-        )
+        composer = BatchComposer(checkpoints=fresh)
         report = composer.run_chains([chain])
         assert report.all_succeeded
         (warm,) = report.results()

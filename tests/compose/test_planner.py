@@ -238,30 +238,6 @@ def test_plan_compose_free_symbols_and_untouched_constraints():
     assert ContainmentConstraint(_rel("R1"), _rel("R2")) in planned.constraints
 
 
-def test_plan_compose_via_thread_executor_is_identical():
-    from concurrent.futures import ThreadPoolExecutor
-
-    problem = _problem(
-        {"R1": 1, "R2": 1},
-        {"A": 1, "B": 1},
-        {"S1": 1, "S2": 1},
-        [
-            EqualityConstraint(_rel("A"), _rel("R1")),
-            EqualityConstraint(_rel("B"), _rel("R2")),
-        ],
-        [
-            ContainmentConstraint(_rel("A"), _rel("S1")),
-            ContainmentConstraint(_rel("B"), _rel("S2")),
-        ],
-    )
-    serial = plan_compose(problem, ComposerConfig.cost_guided())
-    with ThreadPoolExecutor(max_workers=2) as executor:
-        parallel = plan_compose(problem, ComposerConfig.cost_guided(), executor=executor)
-    assert parallel.constraints.to_text() == serial.constraints.to_text()
-    assert parallel.plan == serial.plan
-    assert parallel.remaining_symbols == serial.remaining_symbols
-
-
 # ---------------------------------------------------------------------------
 # Config knob
 # ---------------------------------------------------------------------------

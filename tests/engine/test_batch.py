@@ -1,5 +1,7 @@
 """Tests for the batch composition engine (:mod:`repro.engine.batch`)."""
 
+import dataclasses
+import threading
 import time
 
 import pytest
@@ -9,55 +11,59 @@ from repro.engine.batch import (
     BatchConfig,
     ProblemStatus,
 )
+from repro.engine.chain import compose_chain
 from repro.engine.workloads import WorkloadConfig, generate_workload, pairwise_problems
 from repro.exceptions import EngineError
 
 
 class TestBatchConfig:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(EngineError, match="backend"):
-            BatchConfig(backend="gpu")
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(EngineError):
-            BatchConfig(max_workers=0)
-
     def test_invalid_timeout_rejected(self):
         with pytest.raises(EngineError):
             BatchConfig(timeout_seconds=0)
 
-    def test_auto_backend_resolves_to_serial(self):
-        # Composition is GIL-bound pure Python: auto must not pick a pool.
-        assert BatchConfig(backend="auto").resolved_backend() == "serial"
-        assert BatchConfig(backend="process").resolved_backend() == "process"
-
-    def test_fail_fast_on_pool_backend_preserves_exception_type(self):
-        def bad(x):
-            if x == 0:
-                raise KeyError("original type survives")
-            return x
-
-        composer = BatchComposer(
-            BatchConfig(backend="thread", max_workers=2, fail_fast=True)
-        )
-        with pytest.raises(KeyError):
-            composer.map(bad, list(range(20)))
+    def test_config_has_no_pool_knobs(self):
+        # Every batch runs in-process; nothing selects or sizes a pool.
+        assert [f.name for f in dataclasses.fields(BatchConfig)] == [
+            "timeout_seconds",
+            "composer_config",
+            "share_expression_cache",
+            "cache_max_entries",
+            "share_checkpoints",
+            "checkpoint_max_entries",
+            "pause_gc",
+            "fail_fast",
+        ]
+        with pytest.raises(TypeError):
+            BatchConfig(backend="thread")
 
     def test_failure_error_includes_traceback(self):
         def bad(_):
             raise ValueError("with traceback")
 
-        report = BatchComposer(BatchConfig(backend="serial")).map(bad, [1])
+        report = BatchComposer().map(bad, [1])
         assert "Traceback" in report.failed[0].error
         assert "with traceback" in report.failed[0].error
 
 
 class TestMap:
     def test_results_in_submission_order(self):
-        composer = BatchComposer(BatchConfig(backend="thread", max_workers=4))
-        report = composer.map(lambda x: x * 10, list(range(8)))
+        report = BatchComposer().map(lambda x: x * 10, list(range(8)))
         assert [item.result for item in report.items] == [x * 10 for x in range(8)]
         assert report.all_succeeded
+
+    def test_jobs_run_one_at_a_time_in_the_calling_thread(self):
+        events = []
+
+        def job(x):
+            events.append(("start", x, threading.get_ident()))
+            events.append(("end", x, threading.get_ident()))
+            return x
+
+        BatchComposer().map(job, [0, 1, 2])
+        caller = threading.get_ident()
+        assert events == [
+            (phase, x, caller) for x in (0, 1, 2) for phase in ("start", "end")
+        ]
 
     def test_failure_isolation(self):
         def flaky(x):
@@ -65,8 +71,7 @@ class TestMap:
                 raise ValueError("boom on 2")
             return x
 
-        composer = BatchComposer(BatchConfig(backend="serial"))
-        report = composer.map(flaky, [0, 1, 2, 3])
+        report = BatchComposer().map(flaky, [0, 1, 2, 3])
         assert len(report.succeeded) == 3
         assert len(report.failed) == 1
         failed = report.failed[0]
@@ -80,9 +85,23 @@ class TestMap:
         def bad(_):
             raise RuntimeError("stop everything")
 
-        composer = BatchComposer(BatchConfig(backend="serial", fail_fast=True))
+        composer = BatchComposer(BatchConfig(fail_fast=True))
         with pytest.raises(RuntimeError, match="stop everything"):
             composer.map(bad, [1])
+
+    def test_fail_fast_stops_at_the_first_failure(self):
+        ran = []
+
+        def bad(x):
+            ran.append(x)
+            if x == 1:
+                raise KeyError("original type survives")
+            return x
+
+        composer = BatchComposer(BatchConfig(fail_fast=True))
+        with pytest.raises(KeyError, match="original type survives"):
+            composer.map(bad, [0, 1, 2, 3])
+        assert ran == [0, 1]
 
     def test_soft_timeout_classification(self):
         def slow(x):
@@ -90,14 +109,27 @@ class TestMap:
                 time.sleep(0.05)
             return x
 
-        composer = BatchComposer(
-            BatchConfig(backend="thread", max_workers=2, timeout_seconds=0.02)
-        )
+        composer = BatchComposer(BatchConfig(timeout_seconds=0.02))
         report = composer.map(slow, [0, 1, 2])
         assert len(report.timed_out) == 1
         assert report.timed_out[0].index == 1
         assert report.timed_out[0].result is None
         assert {item.index for item in report.succeeded} == {0, 2}
+
+    def test_soft_timeout_never_interrupts_a_job(self):
+        finished = []
+
+        def slow(x):
+            time.sleep(0.05)
+            finished.append(x)
+            return x
+
+        report = BatchComposer(BatchConfig(timeout_seconds=0.01)).map(slow, [0, 1])
+        # The budget is checked after the job returns: both ran to the end,
+        # and both results were discarded.
+        assert finished == [0, 1]
+        assert [item.status for item in report.items] == [ProblemStatus.TIMED_OUT] * 2
+        assert [item.result for item in report.items] == [None, None]
 
     def test_label_mismatch_rejected(self):
         composer = BatchComposer()
@@ -113,34 +145,30 @@ class TestRunChains:
         )
 
     def test_payloads_are_chain_results(self, workload):
-        report = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
+        report = BatchComposer().run_chains(workload)
         assert report.all_succeeded
         assert report.items[0].label == workload[0].name
         for item, problem in zip(report.items, workload):
             assert item.result.chain_length == problem.chain_length
 
-    def test_backends_agree(self, workload):
-        serial = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
-        threaded = BatchComposer(
-            BatchConfig(backend="thread", max_workers=4)
-        ).run_chains(workload)
-        for a, b in zip(serial.items, threaded.items):
-            assert a.result.constraints == b.result.constraints
-            assert a.result.residual_symbols == b.result.residual_symbols
+    def test_batch_matches_one_chain_at_a_time(self, workload):
+        report = BatchComposer().run_chains(workload)
+        for item, problem in zip(report.items, workload):
+            alone = compose_chain(problem.mappings)
+            assert item.result.constraints == alone.constraints
+            assert item.result.residual_symbols == alone.residual_symbols
 
     def test_cache_stats_reported_when_sharing(self, workload):
-        report = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
+        report = BatchComposer().run_chains(workload)
         assert report.cache_stats is not None
         assert report.cache_stats["hits"] > 0
-        off = BatchComposer(
-            BatchConfig(backend="serial", share_expression_cache=False)
-        ).run_chains(workload)
+        off = BatchComposer(BatchConfig(share_expression_cache=False)).run_chains(workload)
         assert off.cache_stats is None
         for a, b in zip(report.items, off.items):
             assert a.result.constraints == b.result.constraints
 
     def test_report_statistics(self, workload):
-        report = BatchComposer(BatchConfig(backend="serial")).run_chains(workload)
+        report = BatchComposer().run_chains(workload)
         assert len(report) == len(workload)
         assert report.throughput() > 0
         assert report.total_problem_seconds() > 0
@@ -154,7 +182,7 @@ class TestRun:
             WorkloadConfig(num_problems=3, min_chain_length=4, max_chain_length=4, seed=9)
         )
         problems = [p for chain in workload for p in pairwise_problems(chain)]
-        report = BatchComposer(BatchConfig(backend="serial")).run(problems)
+        report = BatchComposer().run(problems)
         assert report.all_succeeded
         assert report.items[0].label == problems[0].name
 

@@ -2,7 +2,7 @@
 
 The interning/token cache is a pure accelerator.  These tests run the same
 generated workloads with the cache disabled, with the cache enabled, and
-across the batch backends, and require byte-identical results everywhere:
+through the batch engine, and require byte-identical results everywhere:
 same constraints (to the printed text), same residual symbols, same
 per-symbol outcomes.
 """
@@ -13,6 +13,7 @@ from repro.algebra import interning
 from repro.algebra.simplify import simplify_constraint_set, simplify_expression
 from repro.algebra.traversal import substitute_relation
 from repro.compose.composer import compose
+from repro.compose.config import ComposerConfig
 from repro.engine import (
     BatchComposer,
     BatchConfig,
@@ -75,25 +76,20 @@ class TestCacheDoesNotChangeResults:
             cached = [_composition_fingerprint(compose(p)) for p in problems]
         assert plain == cached
 
-    def test_backends_agree(self, workload):
-        reports = {}
-        for backend in ("serial", "thread", "process"):
-            composer = BatchComposer(BatchConfig(backend=backend, max_workers=2))
-            report = composer.run_chains(workload)
-            assert report.all_succeeded, report.summary()
-            reports[backend] = [
-                _chain_fingerprint(item.result) for item in report.items
-            ]
-        assert reports["serial"] == reports["thread"] == reports["process"]
-
     def test_cache_disabled_batch_agrees(self, workload):
-        cached = BatchComposer(BatchConfig(backend="serial"))
-        uncached = BatchComposer(
-            BatchConfig(backend="serial", share_expression_cache=False)
-        )
+        cached = BatchComposer()
+        uncached = BatchComposer(BatchConfig(share_expression_cache=False))
         a = [_chain_fingerprint(i.result) for i in cached.run_chains(workload).items]
         b = [_chain_fingerprint(i.result) for i in uncached.run_chains(workload).items]
         assert a == b
+
+    def test_cost_guided_batch_agrees_with_uncached_chains(self, workload):
+        config = ComposerConfig.cost_guided()
+        assert interning.active_cache() is None
+        plain = [_chain_fingerprint(compose_chain(p.mappings, config)) for p in workload]
+        report = BatchComposer(BatchConfig(composer_config=config)).run_chains(workload)
+        assert report.all_succeeded, report.summary()
+        assert [_chain_fingerprint(item.result) for item in report.items] == plain
 
 
 class TestPrimitiveOperationsAgree:

@@ -3,8 +3,8 @@
 The checkpoint store is a pure accelerator: every recomposition of an edited
 chain must be byte-identical to composing the edited chain from scratch —
 same constraints (to the printed text), same residual symbols, same
-per-symbol outcomes — across randomized edit sequences and across the
-serial/thread/process backends.  Checkpoints must also be *invalidated* by
+per-symbol outcomes — across randomized edit sequences and through the
+batch engine.  Checkpoints must also be *invalidated* by
 anything that can change a composition's output: a different composer
 configuration, a mutated operator registry (version bump), a different
 residual-threading mode.
@@ -18,7 +18,6 @@ from repro.compose.config import ComposerConfig
 from repro.constraints.constraint_set import ConstraintSet
 from repro.engine import (
     BatchComposer,
-    BatchConfig,
     ChainGrower,
     CheckpointStore,
     EvolutionSession,
@@ -182,52 +181,26 @@ class TestCheckpointInvalidation:
         assert composer.checkpoints.evictions > 0
 
 
-class TestBackendsAgree:
-    def test_all_backends_byte_identical_with_checkpoints(self, grown_chain):
+class TestBatchReuse:
+    def test_batch_byte_identical_with_checkpoints(self, grown_chain):
         # Chains sharing fingerprinted prefixes: prefix reuse actually fires
-        # within the batch (serial/thread) and the results must still match
-        # from-scratch composition everywhere, workers included.
+        # within the batch, and the results must still match from-scratch
+        # composition.
         chains = [tuple(grown_chain[:k]) for k in (3, 5, 7, len(grown_chain))]
         scratch = [_fingerprint(compose_chain(chain)) for chain in chains]
-        for backend in ("serial", "thread", "process"):
-            composer = BatchComposer(BatchConfig(backend=backend, max_workers=2))
-            report = composer.run_chains(chains)
-            assert report.all_succeeded, report.summary()
-            assert [_fingerprint(item.result) for item in report.items] == scratch
-            # The parent only reports store counters it can actually observe:
-            # process workers keep private stores.
-            if backend == "process":
-                assert report.checkpoint_stats is None
-            else:
-                assert report.checkpoint_stats is not None
+        report = BatchComposer().run_chains(chains)
+        assert report.all_succeeded, report.summary()
+        assert [_fingerprint(item.result) for item in report.items] == scratch
+        assert report.checkpoint_stats["hits"] > 0
 
     def test_serial_batch_reuses_across_runs(self, grown_chain):
-        composer = BatchComposer(BatchConfig(backend="serial"))
+        composer = BatchComposer()
         chains = [tuple(grown_chain[:k]) for k in (4, 6)]
         composer.run_chains(chains)
         report = composer.run_chains([tuple(grown_chain)])
         (item,) = report.items
         # The 6-mapping prefix was checkpointed by the first batch.
         assert item.result.reused_hops >= 5
-        assert _fingerprint(item.result) == _fingerprint(
-            compose_chain(tuple(grown_chain))
-        )
-
-    def test_process_workers_are_preseeded(self, grown_chain):
-        composer = BatchComposer(BatchConfig(backend="process", max_workers=1))
-        prefix = tuple(grown_chain[:6])
-        composer.run_chains([prefix])
-        # Worker checkpoints stay in the worker, so the parent store is still
-        # empty; cross-batch reuse on the process backend goes through
-        # explicit seeding (the documented contract).  Seed from a serial
-        # composer's store and verify the shipped snapshot is honoured.
-        assert len(composer.checkpoints) == 0
-        serial = BatchComposer(BatchConfig(backend="serial"))
-        serial.run_chains([prefix])
-        composer.checkpoints.seed(serial.checkpoints.snapshot())
-        report = composer.run_chains([tuple(grown_chain)])
-        (item,) = report.items
-        assert item.result.reused_hops >= len(prefix) - 1
         assert _fingerprint(item.result) == _fingerprint(
             compose_chain(tuple(grown_chain))
         )

@@ -3,8 +3,8 @@
 Randomized multi-component workloads (restricted to the forward-propagatable
 primitives so satisfying instances can be constructed) must compose to
 semantically equivalent outputs under the fixed order and the cost-guided
-partitioned planner, and the planner's output must be byte-identical across
-the serial/thread/process backends of ``BatchComposer.run_partitioned``.
+partitioned planner, and a batch composed under the cost-guided config must
+match direct planned composition byte for byte.
 """
 
 from __future__ import annotations
@@ -71,61 +71,38 @@ def test_planned_output_semantically_equivalent_to_fixed(master_seed):
     assert checked >= 8
 
 
-def test_run_partitioned_is_byte_identical_across_backends():
-    workload = _workload(97, num_problems=2)
-    reference = None
-    for backend in ("serial", "thread", "process"):
-        composer = BatchComposer(
-            BatchConfig(
-                backend=backend,
-                max_workers=2,
-                composer_config=ComposerConfig.cost_guided(),
-            )
-        )
-        report = composer.run_partitioned(workload)
-        assert report.all_succeeded, report.summary()
-        outputs = [
-            (item.result.constraints.to_text(), item.result.remaining_symbols)
-            for item in report.items
-        ]
-        if reference is None:
-            reference = outputs
-        else:
-            assert outputs == reference, f"{backend} diverged from serial"
-
-
-def test_run_partitioned_matches_direct_planned_compose():
+def test_cost_guided_run_matches_direct_planned_compose():
     workload = _workload(13, num_problems=2)
-    composer = BatchComposer(
-        BatchConfig(backend="serial", composer_config=ComposerConfig.cost_guided())
-    )
-    report = composer.run_partitioned(workload)
-    assert report.all_succeeded
+    composer = BatchComposer(BatchConfig(composer_config=ComposerConfig.cost_guided()))
+    report = composer.run([partitioned.problem for partitioned in workload])
+    assert report.all_succeeded, report.summary()
     for partitioned, item in zip(workload, report.items):
         direct = compose(partitioned.problem, ComposerConfig.cost_guided())
         assert item.result.constraints.to_text() == direct.constraints.to_text()
         assert item.result.plan == direct.plan
+        assert item.result.components >= partitioned.num_components
 
 
-def test_run_partitioned_switches_fixed_configs_to_cost_mode():
-    workload = _workload(5, num_problems=1)
-    composer = BatchComposer(BatchConfig(backend="serial"))  # fixed-order config
-    report = composer.run_partitioned(workload)
-    assert report.all_succeeded
-    assert report.items[0].result.components >= 1
-
-
-def test_run_partitioned_drops_explicit_symbol_order():
-    """An explicit symbol_order cannot combine with the planner; the switch to
-    cost mode must drop it rather than crash on the config validation."""
-    workload = _workload(5, num_problems=1)
-    order = workload[0].problem.sigma2.names()
-    composer = BatchComposer(
-        BatchConfig(backend="serial", composer_config=ComposerConfig(symbol_order=order))
-    )
-    report = composer.run_partitioned(workload)
-    assert report.all_succeeded, report.summary()
-    assert report.items[0].result.components >= 1
+def test_cost_guided_run_is_byte_identical_without_shared_cache():
+    workload = _workload(97, num_problems=2)
+    problems = [partitioned.problem for partitioned in workload]
+    outputs = []
+    for share in (True, False):
+        composer = BatchComposer(
+            BatchConfig(
+                composer_config=ComposerConfig.cost_guided(),
+                share_expression_cache=share,
+            )
+        )
+        report = composer.run(problems)
+        assert report.all_succeeded, report.summary()
+        outputs.append(
+            [
+                (item.result.constraints.to_text(), item.result.remaining_symbols)
+                for item in report.items
+            ]
+        )
+    assert outputs[0] == outputs[1]
 
 
 def test_single_component_and_singleton_edge_cases():

@@ -91,6 +91,18 @@ class TestSnapshotCompleteness:
         }
         assert snap["histograms"]["journal_fsync_seconds"]["count"] == 1
 
+    def test_record_batch_feeds_batching_and_cache_sections(self):
+        metrics = ServiceMetrics()
+        metrics.record_batch(4, {"hits": 3, "misses": 1})
+        metrics.record_batch(2, None)  # a batch run with the cache off
+        snap = metrics.snapshot()
+        assert snap["batching"] == {
+            "batches": 2,
+            "batched_items": 6,
+            "mean_batch_size": 3.0,
+        }
+        assert snap["expression_cache"] == {"hits": 3, "misses": 1, "hit_rate": 0.75}
+
     def test_unknown_histogram_names_are_dropped_not_raised(self):
         metrics = ServiceMetrics()
         metrics.observe("no_such_histogram", 1.0)  # must not raise
@@ -144,7 +156,8 @@ class TestPrometheusExposition:
         metrics.record_submitted()
         metrics.record_completed("succeeded", queue_seconds=0.003, execution_seconds=0.04)
         metrics.observe("journal_fsync_seconds", 0.007)
-        metrics.record_batch(4, "thread", {"hits": 3, "misses": 1})
+        metrics.record_batch(4, {"hits": 3, "misses": 1})
+        metrics.record_batch_failure("OSError", 2)
         text = metrics.render_prometheus(pending=2, in_flight=1)
         types, samples = _parse_prometheus(text)
 
@@ -152,7 +165,7 @@ class TestPrometheusExposition:
         assert samples["repro_requests_completed"][()] == 1.0
         assert samples["repro_requests_pending"][()] == 2.0
         # Dict tallies render as labeled samples.
-        assert samples["repro_batching_backends"][(("key", "thread"),)] == 1.0
+        assert samples["repro_degradation_batch_failure_types"][(("key", "OSError"),)] == 1.0
 
         # The acceptance bar: histogram buckets for queue, execution, fsync.
         for stem in (

@@ -255,7 +255,9 @@ class TestFollowerHTTP:
         assert follower.entries_applied >= 1
 
     def test_roles_and_replication_in_health_and_metrics(self, replicated_stack):
-        _, primary_base, _, _, follower_base = replicated_stack
+        _, primary_base, _, follower, follower_base = replicated_stack
+        # source_reachable stays None until the follower's first poll completes.
+        assert _wait_for(lambda: follower.status()["last_catch_up_age_seconds"] is not None)
         _, health = self._get_json(primary_base + "/healthz")
         assert health["role"] == "primary"
         assert "replication" not in health

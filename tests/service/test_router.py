@@ -406,6 +406,35 @@ class TestTracing:
             )
             assert any(r["parent_id"] == survivor["span_id"] for r in ingress)
 
+    def test_response_echoes_only_the_router_span(self, primary):
+        """The backend's trace echo is dropped with the hop headers, so the
+        client sees one trace/span pair: the router's ingress span, the root
+        of the merged tree."""
+        from repro import obs
+
+        with RouterHTTPServer(
+            [primary.base], port=0, health_interval_seconds=30
+        ) as router:
+            host, port = router.address
+            problem = problem_by_name("example1_movies").problem
+            request = urllib.request.Request(
+                f"http://{host}:{port}/compose",
+                data=problem_to_text(problem).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=60) as response:
+                assert response.status == 200
+                trace_ids = response.headers.get_all(obs.TRACE_ID_HEADER)
+                span_ids = response.headers.get_all(obs.SPAN_ID_HEADER)
+        assert len(trace_ids) == 1
+        assert len(span_ids) == 1
+        records = obs.recorder().spans(trace_ids[0])
+        assert {r["name"] for r in records if r["span_id"] == span_ids[0]} == {
+            "router.request"
+        }
+        # The backend did echo its own ingress span; the router dropped it.
+        assert any(r["name"] == "http.request" for r in records)
+
     def test_poll_loop_failure_bumps_the_status_counter(self, primary):
         with RouterHTTPServer(
             [primary.base], port=0, health_interval_seconds=0.01

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.catalog import MappingCatalog
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
@@ -24,6 +25,7 @@ from repro.exceptions import (
 )
 from repro.literature.problems import problem_by_name
 from repro.service import CompositionService, ServiceConfig
+from repro.service.server import Ticket
 
 
 def _constraints_text(result) -> str:
@@ -62,7 +64,7 @@ class TestBasics:
     def test_partitioned_request(self, service):
         problem = problem_by_name("glav_chain").problem
         direct = compose(problem, ComposerConfig.cost_guided())
-        served = service.compose(problem, partitioned=True)
+        served = service.compose(problem, config=ComposerConfig.cost_guided())
         assert _constraints_text(served) == _constraints_text(direct)
 
     def test_per_request_config_override(self, service):
@@ -117,6 +119,22 @@ class TestDeduplication:
         metrics = svc.metrics()
         assert metrics["requests"]["deduplicated"] >= 1
         assert metrics["requests"]["submitted"] == 20
+
+    def test_identical_cost_guided_requests_coalesce(self):
+        problem = problem_by_name("glav_chain").problem
+        cost = ComposerConfig.cost_guided()
+        svc = CompositionService()
+        # Submitted before start(), so every duplicate meets the queued first.
+        tickets = [svc.submit_problem(problem, config=cost) for _ in range(8)]
+        svc.start()
+        try:
+            results = [ticket.result(60) for ticket in tickets]
+        finally:
+            svc.stop()
+        assert [ticket.coalesced for ticket in tickets] == [False] + [True] * 7
+        reference = _constraints_text(compose(problem, cost))
+        assert all(_constraints_text(result) == reference for result in results)
+        assert all(result.components >= 1 for result in results)
 
     def test_different_configs_do_not_coalesce(self, service):
         problem = problem_by_name("glav_chain").problem
@@ -419,3 +437,31 @@ class TestMetrics:
         assert metrics["phases"]  # per-phase buckets aggregated from the hops
         assert metrics["latency"]["execution_seconds_total"] > 0
         assert metrics["checkpoints"]["entries"] >= 1
+
+
+class TestTracing:
+    def test_spans_recorded_before_the_caller_wakes(self, monkeypatch):
+        """A ``GET /trace`` issued right after a response must see the
+        request's queue, execute and phase spans."""
+        obs.configure(service="test", log_path=None)
+        trace_ids = []
+        seen_at_delivery = []
+        deliver = Ticket._deliver
+
+        def spying_deliver(ticket, payload):
+            names = {record["name"] for record in obs.recorder().spans(trace_ids[0])}
+            seen_at_delivery.append(names)
+            deliver(ticket, payload)
+
+        monkeypatch.setattr(Ticket, "_deliver", spying_deliver)
+        problem = problem_by_name("example1_movies").problem
+        try:
+            with CompositionService() as service:
+                with obs.span("client.request", new_trace=True) as handle:
+                    trace_ids.append(handle.context.trace_id)
+                    service.compose(problem)
+        finally:
+            obs.configure(service="", log_path=None)
+        (names,) = seen_at_delivery
+        assert {"service.queue", "service.execute"} <= names
+        assert any(name.startswith("compose.phase.") for name in names)

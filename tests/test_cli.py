@@ -134,6 +134,21 @@ class TestCatalogGCCommand:
         assert [e.version for e in MappingCatalog(root).versions("result", "r")] == [2]
 
 
+class TestServeOptions:
+    def test_serve_offers_no_pool_flags(self, root, capsys):
+        # Batches always run in-process, so nothing selects or sizes a pool.
+        with pytest.raises(SystemExit) as exited:
+            main(["--root", root, "serve", "--help"])
+        assert exited.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--micro-batch-size" in usage
+        assert "--backend" not in usage
+        assert "--max-workers" not in usage
+        with pytest.raises(SystemExit) as exited:
+            main(["--root", root, "serve", "--backend", "serial"])
+        assert exited.value.code == 2
+
+
 def _spawn_serve(root: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
