@@ -26,7 +26,7 @@ from repro.engine import (
 )
 
 
-def _best_of_interleaved(fns, rounds=5):
+def _best_of_interleaved(fns, rounds=9):
     """Best-of-N measurement for several contenders, round-robin.
 
     The batch-vs-serial margin on this workload is a few percent, so the

@@ -79,7 +79,7 @@ def main() -> None:
     print("\nengine statistics:")
     for name, stats in session.composer.stats().items():
         interesting = {k: v for k, v in stats.items() if k in
-                       ("hits", "misses", "entries", "hit_rate", "interned")}
+                       ("hits", "misses", "entries", "hit_rate")}
         print(f"  {name}: " + ", ".join(f"{k}={v:g}" if not isinstance(v, float)
                                         else f"{k}={v:.2f}"
                                         for k, v in interesting.items()))

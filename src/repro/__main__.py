@@ -575,36 +575,42 @@ def _cmd_route(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    from urllib.error import HTTPError, URLError
-    from urllib.request import urlopen
+    from repro.service.wire import TRANSPORT_ERRORS, PooledClient
 
     base = args.url.rstrip("/")
-    if args.prometheus:
-        try:
-            with urlopen(
-                f"{base}/metrics?format=prometheus", timeout=args.timeout
-            ) as response:
-                sys.stdout.write(response.read().decode("utf-8"))
-        except (HTTPError, URLError, OSError) as exc:
-            print(f"error: cannot fetch {base}/metrics: {exc}", file=sys.stderr)
-            return 1
-        return 0
-    # A service answers /metrics; a router additionally answers its own
-    # /router/status (and proxies /metrics to a backend).  Print whatever
-    # the target actually serves.
-    printed = False
-    for path in ("/metrics", "/router/status"):
-        try:
-            with urlopen(base + path, timeout=args.timeout) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except HTTPError:
-            continue
-        except (URLError, OSError, ValueError) as exc:
-            print(f"error: cannot fetch {base}{path}: {exc}", file=sys.stderr)
-            return 1
-        print(f"# {path}")
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        printed = True
+    client = PooledClient()
+    try:
+        if args.prometheus:
+            try:
+                status, _, body = client.request(
+                    "GET", f"{base}/metrics?format=prometheus", timeout=args.timeout
+                )
+            except TRANSPORT_ERRORS as exc:
+                print(f"error: cannot fetch {base}/metrics: {exc}", file=sys.stderr)
+                return 1
+            if status != 200:
+                print(f"error: cannot fetch {base}/metrics: HTTP {status}", file=sys.stderr)
+                return 1
+            sys.stdout.write(body.decode("utf-8"))
+            return 0
+        # A service answers /metrics; a router additionally answers its own
+        # /router/status (and proxies /metrics to a backend).  Print whatever
+        # the target actually serves.
+        printed = False
+        for path in ("/metrics", "/router/status"):
+            try:
+                status, _, body = client.request("GET", base + path, timeout=args.timeout)
+                if status != 200:
+                    continue
+                payload = json.loads(body.decode("utf-8"))
+            except (*TRANSPORT_ERRORS, ValueError) as exc:
+                print(f"error: cannot fetch {base}{path}: {exc}", file=sys.stderr)
+                return 1
+            print(f"# {path}")
+            print(json.dumps(payload, indent=2, sort_keys=True))
+            printed = True
+    finally:
+        client.close()
     if not printed:
         print(f"error: {base} answers neither /metrics nor /router/status", file=sys.stderr)
         return 1

@@ -1,9 +1,9 @@
-"""Hash-consing and memoized rewriting for expressions.
+"""Memoized rewriting for expressions.
 
 Composition workloads are highly repetitive: the same (immutable) expression
 and constraint objects are threaded through every elimination round, every
 chain hop, and — via the batch engine — many problems.  An
-:class:`ExpressionCache` exploits that repetition in three ways:
+:class:`ExpressionCache` exploits that repetition in two ways:
 
 * **fixpoint tokens**: the DAG rewriter of :mod:`repro.algebra.simplify`
   stamps every output with a per-registry sentinel, so "this object is
@@ -11,8 +11,6 @@ chain hop, and — via the batch engine — many problems.  An
   objects themselves carry the result, there is no growing table to probe,
   insert into, or garbage-collect, and a shared subtree is simplified exactly
   once per process instead of once per occurrence per fixpoint pass;
-* **interning** (hash-consing): structurally equal expressions can be
-  collapsed onto one canonical, pre-summarized object; and
 * **substitution memoization**: substituting the same bound for the same
   symbol across many large constraints (what basic left/right compose and
   view unfolding do) replays per-subtree results instead of re-walking.
@@ -23,7 +21,7 @@ shares one cache across a whole batch of composition problems so repeated
 sub-expressions are simplified once.
 
 Caches are safe to share between threads — CPython dictionary operations are
-atomic and tokens, interning and substitution memoization are all idempotent,
+atomic and tokens and substitution memoization are both idempotent,
 so a lost race merely repeats work.  Activation is process-global (not
 thread-local) because sharing across worker threads is exactly the point.
 """
@@ -50,7 +48,7 @@ DEFAULT_MAX_ENTRIES = 200_000
 
 
 class ExpressionCache:
-    """A structural-sharing (hash-consing) cache with rewrite memo tables.
+    """A cache of rewrite memo tables shared across composition problems.
 
     Parameters
     ----------
@@ -64,7 +62,6 @@ class ExpressionCache:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
-        self._interned: Dict[Expression, Expression] = {}
         #: (registry id, rule version) -> token stamped on simplified expressions
         self._simplify_tokens: Dict[Tuple[int, int], object] = {}
         #: (registry id, rule version) -> token stamped on simplified constraints
@@ -81,49 +78,6 @@ class ExpressionCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    # -- interning -------------------------------------------------------------
-
-    def intern(self, expression: Expression) -> Expression:
-        """Return the canonical instance structurally equal to ``expression``.
-
-        Children are interned iteratively (deep chains are safe), so equal
-        subtrees of different expressions end up sharing one object.  Summaries
-        and structural hashes are warmed as a side effect, keeping every later
-        dictionary probe shallow.
-        """
-        table = self._interned
-        canonical = table.get(expression, None) if _has_hash(expression) else None
-        if canonical is not None:
-            return canonical
-        node_summary(expression)  # warm hashes bottom-up without recursion
-        stack = [(expression, False)]
-        memo: Dict[int, Expression] = {}
-        while stack:
-            node, ready = stack.pop()
-            key = id(node)
-            if key in memo:
-                continue
-            children = node.children
-            if not ready and children:
-                canonical = table.get(node)
-                if canonical is not None:
-                    memo[key] = canonical
-                    continue
-                stack.append((node, True))
-                for child in children:
-                    if id(child) not in memo:
-                        stack.append((child, False))
-                continue
-            if children:
-                new_children = tuple(memo[id(child)] for child in children)
-                if any(new is not old for new, old in zip(new_children, children)):
-                    node = node.with_children(new_children)
-                    node_summary(node)
-            if len(table) >= self.max_entries:
-                self._evict(table)
-            memo[key] = table.setdefault(node, node)
-        return memo[id(expression)]
 
     # -- rewrite memo tables ---------------------------------------------------
 
@@ -247,7 +201,6 @@ class ExpressionCache:
     def clear(self) -> None:
         """Drop all cached entries and reset the statistics."""
         with self._lock:
-            self._interned.clear()
             self._simplify_tokens.clear()
             self._constraint_tokens.clear()
             self._failure_memos.clear()
@@ -268,20 +221,11 @@ class ExpressionCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
-            "interned": len(self._interned),
             "memoized": sum(len(memo) for memo in self._substitution_memos.values()),
         }
 
     def __repr__(self) -> str:
         return f"<ExpressionCache: {self.hits} hits / {self.misses} misses>"
-
-
-def _has_hash(expression: Expression) -> bool:
-    try:
-        object.__getattribute__(expression, "_hash_value")
-        return True
-    except AttributeError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ import threading
 import time
 from pathlib import Path
 from typing import Optional, Union
-from urllib.error import HTTPError, URLError
-from urllib.request import urlopen
 
 from repro import faults, obs
 from repro.catalog.catalog import MappingCatalog
@@ -54,6 +52,7 @@ from repro.exceptions import (
     ReplicationError,
     ServiceError,
 )
+from repro.service.wire import TRANSPORT_ERRORS, PooledClient
 
 __all__ = ["LeaderElector", "LEADER_LEASE_KEY", "DEFAULT_ELECTION_TIMEOUT_SECONDS"]
 
@@ -131,6 +130,7 @@ class LeaderElector:
         if election_dir is None:
             election_dir = Path(catalog.root) / "election"
         self.leases = LeaseTable(election_dir, ttl_seconds=lease_ttl_seconds)
+        self._client = PooledClient()
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -166,6 +166,7 @@ class LeaderElector:
             thread.join()
         with self._lock:
             self._thread = None
+        self._client.close()
         try:
             self.leases.release_all()
         except OSError:
@@ -193,16 +194,14 @@ class LeaderElector:
     # -- liveness ------------------------------------------------------------------
 
     def _probe_healthz(self) -> bool:
-        url = f"{self.primary_url}/healthz"
+        # Any answer, however unhappy, means the primary is alive.
         try:
-            with urlopen(url, timeout=self.health_timeout_seconds) as response:
-                response.read()
-            return True
-        except HTTPError:
-            # The primary answered, however unhappily: it is alive.
-            return True
-        except (URLError, OSError):
+            self._client.request(
+                "GET", f"{self.primary_url}/healthz", timeout=self.health_timeout_seconds
+            )
+        except TRANSPORT_ERRORS:
             return False
+        return True
 
     def _primary_alive(self) -> bool:
         """Best current evidence that a live leader exists somewhere."""

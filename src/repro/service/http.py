@@ -59,6 +59,8 @@ metrics as in-process callers.  Overload answers ``429``, malformed records
 ``400``, unknown entries ``404``; ``429`` and degraded ``503`` responses
 carry a ``Retry-After`` header derived from the breaker probe interval so
 clients and routers back off instead of hammering a recovering node.
+Connections persist (HTTP/1.1 keep-alive); :mod:`repro.service.wire` says
+what closes one.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ import math
 import sys
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -82,7 +83,7 @@ from repro.exceptions import (
     StaleEpochError,
 )
 from repro.service.server import CompositionService
-from repro.service.wire import BaseHandler
+from repro.service.wire import BaseHandler, KeepAliveServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports catalog)
     from repro.service.election import LeaderElector
@@ -92,11 +93,9 @@ from repro.textio.records import chain_from_text, detect_kind, mapping_to_text, 
 
 __all__ = ["ServiceHTTPServer", "serve"]
 
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-
 
 class _Handler(BaseHandler):
-    # ``self.server`` is the ThreadingHTTPServer; ServiceHTTPServer pins the
+    # ``self.server`` is the _ServiceHTTPD; ServiceHTTPServer pins the
     # ``service`` and ``verbose`` attributes onto it before serving starts.
 
     # -- plumbing ------------------------------------------------------------------
@@ -109,7 +108,6 @@ class _Handler(BaseHandler):
         joins a trace that rode in on the headers, so router health polls
         and follower journal tails stay out of the sinks entirely.
         """
-        self._last_status = 0
         incoming = obs.extract_context(self.headers)
         started = time.perf_counter()
         with obs.span(
@@ -352,15 +350,13 @@ class _Handler(BaseHandler):
         if url.path.rstrip("/") != "/compose":
             self._send_text(404, f"unknown path {url.path!r}\n")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_text(400, "malformed Content-Length header\n")
+        body = self._read_body()
+        if body is None:
             return
-        if length <= 0 or length > _MAX_BODY_BYTES:
+        if not body:
             self._send_text(400, "request body required (a record text)\n")
             return
-        text = self.rfile.read(length).decode("utf-8", errors="replace")
+        text = body.decode("utf-8", errors="replace")
         query = parse_qs(url.query)
         config: Optional[ComposerConfig] = None
         if query.get("order", [None])[0] == "cost":
@@ -512,11 +508,10 @@ class _AccessSink:
                 self._handle = None
 
 
-class _ServiceHTTPD(ThreadingHTTPServer):
-    """The stdlib server plus the attributes handlers reach through ``self.server``."""
+class _ServiceHTTPD(KeepAliveServer):
+    """The shared server plus the attributes handlers reach through ``self.server``."""
 
     service: CompositionService
-    verbose: bool
     follower: "Optional[ReplicationFollower]" = None
     elector: "Optional[LeaderElector]" = None
     access_sink: Optional[_AccessSink] = None
@@ -535,7 +530,7 @@ class _ServiceHTTPD(ThreadingHTTPServer):
 
 
 class ServiceHTTPServer:
-    """Owns a :class:`ThreadingHTTPServer` bound to one composition service.
+    """Owns the :class:`~repro.service.wire.KeepAliveServer` of one composition service.
 
     With a ``follower``, the server reports the ``follower`` role (until
     promotion), exposes its replication status, and rejects local catalog
@@ -558,7 +553,6 @@ class ServiceHTTPServer:
         self._closed = False
         self._access_sink = _AccessSink(access_log) if access_log else None
         self._httpd = _ServiceHTTPD((host, port), _Handler)
-        self._httpd.daemon_threads = True
         # Handlers reach the service through their ``server`` attribute.
         self._httpd.service = service
         self._httpd.verbose = verbose

@@ -36,15 +36,14 @@ import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-from urllib.error import HTTPError, URLError
 from urllib.parse import quote, urlsplit
-from urllib.request import urlopen
 
 from repro import faults, obs
 from repro.catalog.catalog import MappingCatalog
 from repro.catalog.journal import CatalogJournal
 from repro.catalog.leases import default_owner_id
 from repro.exceptions import CatalogError, JournalError, ReplicationError
+from repro.service.wire import TRANSPORT_ERRORS, PooledClient
 
 __all__ = [
     "JournalSource",
@@ -69,6 +68,9 @@ class JournalSource:
 
     def last_seqs(self) -> Dict[int, int]:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release what the source holds open (nothing by default)."""
 
 
 class LocalJournalSource(JournalSource):
@@ -113,6 +115,7 @@ class HTTPJournalSource(JournalSource):
         self.num_shards = num_shards
         self.timeout_seconds = timeout_seconds
         self.follower_id = follower_id or default_owner_id()
+        self._client = PooledClient()
 
     def _fetch(
         self, shard: int, since: int, limit: Optional[int], report_applied: bool = False
@@ -122,8 +125,10 @@ class HTTPJournalSource(JournalSource):
             url += f"&limit={limit}"
         if report_applied:
             url += f"&follower={quote(self.follower_id)}&applied={since}"
-        with urlopen(url, timeout=self.timeout_seconds) as response:
-            payload = json.loads(response.read().decode("utf-8"))
+        status, _, body = self._client.request("GET", url, timeout=self.timeout_seconds)
+        if status != 200:
+            raise ReplicationError(f"journal endpoint {url} answered {status}")
+        payload = json.loads(body.decode("utf-8"))
         if not isinstance(payload, dict) or "entries" not in payload:
             raise ReplicationError(
                 f"journal endpoint {url} answered a malformed payload"
@@ -139,6 +144,9 @@ class HTTPJournalSource(JournalSource):
             payload = self._fetch(shard, since=0, limit=0)
             out[shard] = int(payload.get("last_seq", 0))
         return out
+
+    def close(self) -> None:
+        self._client.close()
 
 
 def open_source(target: Union[str, Path], num_shards: int = 16) -> JournalSource:
@@ -228,6 +236,7 @@ class ReplicationFollower:
             thread.join()
         with self._lock:
             self._thread = None
+        self.source.close()
 
     def __enter__(self) -> "ReplicationFollower":
         return self.start()
@@ -273,7 +282,7 @@ class ReplicationFollower:
                     entries = self.source.read_since(
                         shard, self._applied.get(shard, 0), limit=self.batch_limit
                     )
-                except (OSError, URLError, HTTPError, JournalError) as exc:
+                except (*TRANSPORT_ERRORS, JournalError, ReplicationError) as exc:
                     self._source_reachable = False
                     raise ReplicationError(
                         f"cannot read journal shard {shard} from "
@@ -390,7 +399,7 @@ class ReplicationFollower:
         when the source cannot be reached to ask)."""
         try:
             source_seqs = self.source.last_seqs()
-        except (OSError, URLError, HTTPError, JournalError):
+        except (*TRANSPORT_ERRORS, JournalError, ReplicationError):
             return None
         return sum(
             max(0, int(last) - self._applied.get(shard, 0))

@@ -30,12 +30,16 @@ same "curl is a complete client" contract as the service itself:
 * **failover**: when the primary dies and an operator (or the drill in the
   chaos suite) promotes a follower — ``POST /admin/promote`` directly on the
   follower — the next health check observes the new ``role: primary`` and
-  writes flow again.  No router restart, no configuration change.
+  writes flow again.  No router restart, no configuration change;
+* **connections**: the relay and the health polls share one
+  :class:`~repro.service.wire.PooledClient`, so each backend sees a few
+  keep-alive connections, not one per request.
 
-``GET /router/status`` reports the live backend table.  When no backend can
-take a request the router answers ``503`` with a ``Retry-After`` of one
-health interval.  Fault point: ``router.backend`` fires before each proxied
-attempt (the chaos suite uses it to kill specific attempts).
+``GET /router/status`` reports the live backend table and the pool's
+``connections_opened``.  When no backend can take a request the router
+answers ``503`` with a ``Retry-After`` of one health interval.  Fault point:
+``router.backend`` fires before each proxied attempt (the chaos suite uses
+it to kill specific attempts).
 """
 
 from __future__ import annotations
@@ -44,26 +48,23 @@ import json
 import math
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
-from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
 
 from repro import faults, obs
 from repro.exceptions import ServiceError
-from repro.service.wire import BaseHandler
+from repro.service.wire import TRANSPORT_ERRORS, BaseHandler, KeepAliveServer, PooledClient
 
 __all__ = ["BackendState", "RouterHTTPServer", "route"]
 
-_MAX_BODY_BYTES = 8 * 1024 * 1024
-
-#: Headers that must not be forwarded verbatim from a proxied response.  The
-#: backend's trace echo is among them: the router's own response echoes its
-#: ingress span, the root of the merged tree.
+#: Response headers the relay drops: the connection-level ones, the framing
+#: ones the router's own response writer sets, and the backend's trace echo
+#: (the router's response echoes its ingress span, the root of the merged
+#: tree).
 _HOP_HEADERS = {
     "connection",
     "keep-alive",
     "transfer-encoding",
+    "content-length",
     "server",
     "date",
     obs.TRACE_ID_HEADER,
@@ -121,7 +122,7 @@ class BackendState:
 
 
 class _RouterHandler(BaseHandler):
-    # ``self.server`` is the ThreadingHTTPServer; RouterHTTPServer pins the
+    # ``self.server`` is the KeepAliveServer; RouterHTTPServer pins the
     # ``router`` and ``verbose`` attributes onto it before serving starts.
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -131,16 +132,9 @@ class _RouterHandler(BaseHandler):
         self._proxy("GET", body=None)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_text(400, "malformed Content-Length header\n")
-            return
-        if length < 0 or length > _MAX_BODY_BYTES:
-            self._send_text(400, "request body too large\n")
-            return
-        body = self.rfile.read(length) if length else b""
-        self._proxy("POST", body=body)
+        body = self._read_body()
+        if body is not None:
+            self._proxy("POST", body=body)
 
     def _proxy(self, method: str, body: Optional[bytes]) -> None:
         router: "RouterHTTPServer" = self.server.router
@@ -216,10 +210,11 @@ class RouterHTTPServer:
         self.failovers = 0
         self.poll_failures = 0
         self._last_write_backend: Optional[str] = None
-        self._httpd = ThreadingHTTPServer((host, port), _RouterHandler)
-        self._httpd.daemon_threads = True
+        # One pool carries the relay and the health polls alike.
+        self.client = PooledClient()
+        self._httpd = KeepAliveServer((host, port), _RouterHandler)
         self._httpd.router = self  # type: ignore[attr-defined]
-        self._httpd.verbose = verbose  # type: ignore[attr-defined]
+        self._httpd.verbose = verbose
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -236,20 +231,13 @@ class RouterHTTPServer:
         backend.last_checked_monotonic = time.monotonic()
         backend.last_poll_at = time.time()
         try:
-            with urlopen(
-                f"{backend.url}/healthz", timeout=self.health_timeout_seconds
-            ) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-                status_code = response.status
-        except HTTPError as exc:
-            # A 503 from /healthz is still an *answering* backend: degraded,
-            # reachable, last-resort routable for reads.
-            try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, OSError):
-                payload = {}
-            status_code = exc.code
-        except (URLError, OSError, ValueError) as exc:
+            status_code, _, body = self.client.request(
+                "GET", f"{backend.url}/healthz", timeout=self.health_timeout_seconds
+            )
+            # A 503 with its health report is still an *answering* backend:
+            # degraded, reachable, last-resort routable for reads.
+            payload = json.loads(body.decode("utf-8"))
+        except (*TRANSPORT_ERRORS, ValueError) as exc:
             backend.reachable = False
             backend.healthy = False
             backend.status = "unreachable"
@@ -366,32 +354,17 @@ class RouterHTTPServer:
             ) as handle:
                 try:
                     faults.fire("router.backend", url=backend.url, path=path)
-                    request = Request(backend.url + path, data=body, method=method)
-                    if content_type:
-                        request.add_header("Content-Type", content_type)
-                    if handle.context is not None:
-                        for key, value in handle.context.headers().items():
-                            request.add_header(key, value)
-                    with urlopen(request, timeout=self.request_timeout_seconds) as response:
-                        payload = response.read()
-                        headers = {
-                            key.lower(): value
-                            for key, value in response.headers.items()
-                            if key.lower() not in _HOP_HEADERS
-                        }
-                        status = response.status
-                except HTTPError as exc:
-                    # The backend answered: relay its error verbatim — it is the
-                    # authoritative response (a 400 is the client's problem, a
-                    # 429/503 carries the backend's own Retry-After).
-                    payload = exc.read()
-                    headers = {
-                        key.lower(): value
-                        for key, value in exc.headers.items()
-                        if key.lower() not in _HOP_HEADERS
-                    }
-                    status = exc.code
-                except (URLError, OSError) as exc:
+                    # Whatever the backend answers is relayed verbatim: it is
+                    # authoritative (a 400 is the client's problem, a 429/503
+                    # carries the backend's own Retry-After).
+                    status, headers, payload = self.client.request(
+                        method,
+                        backend.url + path,
+                        body,
+                        {"Content-Type": content_type} if content_type else None,
+                        timeout=self.request_timeout_seconds,
+                    )
+                except TRANSPORT_ERRORS as exc:
                     # The backend is gone mid-request.  Mark it down immediately
                     # (no waiting for the next health tick) and move on.
                     backend.reachable = False
@@ -409,6 +382,7 @@ class RouterHTTPServer:
                 self.requests_routed += 1
                 if method == "POST":
                     self._last_write_backend = backend.url
+            headers = {k: v for k, v in headers.items() if k not in _HOP_HEADERS}
             headers["x-repro-backend"] = backend.url
             if attempt:
                 headers["x-repro-retries"] = str(attempt)
@@ -431,6 +405,7 @@ class RouterHTTPServer:
                 "failovers_observed": self.failovers,
                 "poll_failures": self.poll_failures,
                 "last_write_backend": self._last_write_backend,
+                "connections_opened": self.client.connections_opened,
             }
         return {
             "backends": [backend.snapshot() for backend in self.backends],
@@ -472,6 +447,7 @@ class RouterHTTPServer:
         if not self._closed:
             self._closed = True
             self._httpd.server_close()
+            self.client.close()
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted (the CLI's ``route``)."""

@@ -78,11 +78,3 @@ class TestDeepChains:
             expression = Selection(expression, TrueCondition())
         with interning.shared_expression_cache():
             assert simplify_expression(expression) == Relation("R", 2)
-
-    def test_intern_deep_chain(self):
-        chain = _union_chain(DEPTH)
-        cache = interning.ExpressionCache()
-        canonical = cache.intern(chain)
-        assert canonical == chain
-        # A second structurally equal chain collapses onto the canonical one.
-        assert cache.intern(_union_chain(DEPTH)) is canonical

@@ -95,10 +95,13 @@ class TestSources:
         primary.put_mapping("m", mappings[0])
         source = HTTPJournalSource(base)
         shard = primary._shard_id("mapping", "m")
-        entries = source.read_since(shard, 0)
-        assert [entry["name"] for entry in entries] == ["m"]
-        assert source.read_since(shard, since=1) == []
-        assert source.last_seqs()[shard] == 1
+        try:
+            entries = source.read_since(shard, 0)
+            assert [entry["name"] for entry in entries] == ["m"]
+            assert source.read_since(shard, since=1) == []
+            assert source.last_seqs()[shard] == 1
+        finally:
+            source.close()
 
 
 class TestFollower:

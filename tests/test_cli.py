@@ -149,6 +149,39 @@ class TestServeOptions:
         assert exited.value.code == 2
 
 
+class TestMetricsCommand:
+    def test_prints_what_the_target_serves(self, tmp_path, capsys):
+        from repro.service import (
+            CompositionService,
+            RouterHTTPServer,
+            ServiceConfig,
+            ServiceHTTPServer,
+        )
+
+        service = CompositionService(
+            MappingCatalog(tmp_path / "root"), ServiceConfig(micro_batch_wait_seconds=0.0)
+        )
+        service.start()
+        server = ServiceHTTPServer(service, port=0).start()
+        backend = "http://{}:{}".format(*server.address)
+        router = RouterHTTPServer([backend], port=0, health_interval_seconds=30).start()
+        try:
+            assert main(["metrics", backend]) == 0
+            out = capsys.readouterr().out
+            assert "# /metrics" in out and "# /router/status" not in out
+            assert main(["metrics", "http://{}:{}".format(*router.address)]) == 0
+            out = capsys.readouterr().out
+            assert "# /metrics" in out and "# /router/status" in out
+            assert main(["metrics", backend, "--prometheus"]) == 0
+            assert "repro_requests_completed" in capsys.readouterr().out
+        finally:
+            router.stop()
+            server.stop()
+            service.stop()
+        assert main(["metrics", backend, "--timeout", "2"]) == 1
+        assert "cannot fetch" in capsys.readouterr().err
+
+
 def _spawn_serve(root: str):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
