@@ -14,7 +14,9 @@ real processes).  The warm recomposition must
 * be at least 2x faster end-to-end than the cold serve — asserted on process
   CPU time, as in the other engine benchmarks (both contenders are
   deterministic in-process work; wall-clock on busy CI runners drowns in
-  scheduler noise), with wall-clock recorded alongside.
+  scheduler noise), with wall-clock recorded alongside.  Cold serves and
+  warm restarts alternate, best of ``ROUNDS`` each, so drift in the host's
+  load hits both sides alike.
 
 Recorded as the ``service_warm_restart`` workload in BENCH_compose.json:
 structural metrics (hop counts, checkpoint counts, output identity, operator
@@ -22,6 +24,7 @@ count) are gated exactly by ``check_regression.py``; the cold/warm speedup is
 gated as a scale-free ratio.
 """
 
+import gc
 import time
 
 from repro.catalog import MappingCatalog
@@ -33,21 +36,33 @@ from repro.service import CompositionService, ServiceConfig
 #: Fixed (not env-tunable) so the gated structural metrics are deterministic.
 NUM_HOPS = 14
 SCHEMA_SIZE = 14
-ROUNDS = 3
+ROUNDS = 9
 
 
 def _serve_once(root):
-    """One full serving stack lifetime on ``root``: construct, serve, tear down."""
+    """One full serving stack lifetime on ``root``: construct, serve, tear down.
+
+    Returns (wall_seconds, cpu_seconds, result) of the served request.  The
+    cyclic GC is paused over that call, as in ``test_bench_incremental``'s
+    ``_timed``: the warm side is only milliseconds of CPU, so one
+    generation-2 collection — whose cost scales with everything the
+    surrounding pytest session has allocated — would swamp the gated ratio.
+    """
     catalog = MappingCatalog(root)
-    with CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0)) as svc:
-        wall_started = time.perf_counter()
-        cpu_started = time.process_time()
-        result = svc.compose_catalog("chain", "history")
-        return (
-            time.perf_counter() - wall_started,
-            time.process_time() - cpu_started,
-            result,
-        )
+    with CompositionService(catalog, ServiceConfig()) as svc:
+        gc.collect()
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            wall_started = time.perf_counter()
+            cpu_started = time.process_time()
+            result = svc.compose_catalog("chain", "history")
+            wall_elapsed = time.perf_counter() - wall_started
+            cpu_elapsed = time.process_time() - cpu_started
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+    return wall_elapsed, cpu_elapsed, result
 
 
 def test_bench_service_warm_restart(benchmark, bench_params, bench_record, tmp_path):
@@ -55,30 +70,27 @@ def test_bench_service_warm_restart(benchmark, bench_params, bench_record, tmp_p
         NUM_HOPS + 1
     )
 
-    # Best-of-N cold serves, each on a fresh catalog root (no stored state).
-    cold_wall, cold_cpu = [], []
-    cold_result = None
-    for round_index in range(ROUNDS):
-        root = tmp_path / f"cold{round_index}"
-        MappingCatalog(root).put_chain("history", chain)
-        wall, cpu, cold_result = _serve_once(root)
-        cold_wall.append(wall)
-        cold_cpu.append(cpu)
-    assert cold_result.reused_hops == 0
-
-    # One warmed root, then best-of-N restarts against it.
+    # One warmed root: every later serve on it is a restart.
     warm_root = tmp_path / "warm"
     warm_catalog = MappingCatalog(warm_root)
     warm_catalog.put_chain("history", chain)
     _serve_once(warm_root)
     disk_checkpoints = warm_catalog.checkpoints.disk_entries()
 
-    warm_wall, warm_cpu = [], []
-    warm_result = None
-    for _ in range(ROUNDS):
-        wall, cpu, warm_result = _serve_once(warm_root)  # fresh stack = restart
+    # Alternate cold serves, each on a fresh catalog root (no stored state),
+    # with warm restarts (a fresh stack on the warmed root); best of N each.
+    cold_wall, cold_cpu, warm_wall, warm_cpu = [], [], [], []
+    cold_result = warm_result = None
+    for round_index in range(ROUNDS):
+        root = tmp_path / f"cold{round_index}"
+        MappingCatalog(root).put_chain("history", chain)
+        wall, cpu, cold_result = _serve_once(root)
+        cold_wall.append(wall)
+        cold_cpu.append(cpu)
+        wall, cpu, warm_result = _serve_once(warm_root)
         warm_wall.append(wall)
         warm_cpu.append(cpu)
+    assert cold_result.reused_hops == 0
     benchmark.pedantic(lambda: _serve_once(warm_root), rounds=1, iterations=1)
 
     # Durability: the restarted stack replays nothing and answers identically.

@@ -57,7 +57,7 @@ served = {}
 requests = 0
 started = time.perf_counter()
 config = ServiceConfig(
-    micro_batch_wait_seconds=0.0, admission="block", deadline_seconds=120.0
+    admission="block", deadline_seconds=120.0
 )
 with CompositionService(catalog, config) as svc:
     for round_index in range(rounds):

@@ -85,7 +85,7 @@ def run(work_dir: Path) -> None:
         primary_catalog, election_dir=election_dir, election_timeout_seconds=1.0
     ).start()
     primary_service = CompositionService(
-        primary_catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
+        primary_catalog, ServiceConfig()
     )
     primary_service.start()
     primary_server = ServiceHTTPServer(
@@ -114,7 +114,7 @@ def run(work_dir: Path) -> None:
         health_timeout_seconds=0.5,
     ).start()
     follower_service = CompositionService(
-        follower_catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
+        follower_catalog, ServiceConfig()
     )
     follower_service.start()
     follower_server = ServiceHTTPServer(

@@ -80,7 +80,6 @@ flushes — modelling SIGKILL at the instrumented instant.
 from __future__ import annotations
 
 import errno
-import json
 import os
 import threading
 import time
@@ -88,6 +87,8 @@ from dataclasses import dataclass, field
 from hashlib import blake2b
 from random import Random
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.sink import JsonlSink
 
 __all__ = [
     "ENV_VAR",
@@ -220,8 +221,8 @@ class FaultInjector:
         self._rngs: List[Random] = [
             Random(self._spec_seed(spec, index)) for index, spec in enumerate(self.specs)
         ]
-        self._log_handle = None
-        self._log_failed = False
+        # The audit trail: one JSONL line per fired fault, fail-silent.
+        self._log = JsonlSink(log_path) if log_path else None
 
     def _spec_seed(self, spec: FaultSpec, index: int) -> int:
         digest = blake2b(
@@ -265,7 +266,17 @@ class FaultInjector:
                     continue
                 if spec.should_fire(self._rngs[index]):
                     hits.append(spec)
-                    self._log(point, spec)
+                    if self._log is not None:
+                        self._log.write(
+                            {
+                                "ts": time.time(),
+                                "pid": os.getpid(),
+                                "point": point,
+                                "spec": spec.label(),
+                                "call": spec.calls,
+                                "fired": spec.fired,
+                            }
+                        )
             return hits
 
     def fire(self, point: str, **context) -> None:
@@ -281,7 +292,8 @@ class FaultInjector:
             if spec.kind in ("slow", "stall"):
                 time.sleep(spec.delay_ms / 1000.0)
             elif spec.kind == "crash":
-                self._flush_log()
+                if self._log is not None:
+                    self._log.sync()
                 os._exit(_CRASH_EXIT_CODE)
             else:
                 eio = spec
@@ -301,42 +313,6 @@ class FaultInjector:
         if not self._triggered(point, ("torn",)):
             return None
         return data[: max(1, len(data) // 2)]
-
-    # -- audit trail -----------------------------------------------------------------
-
-    def _log(self, point: str, spec: FaultSpec) -> None:
-        if not self.log_path or self._log_failed:
-            return
-        try:
-            if self._log_handle is None:
-                self._log_handle = open(self.log_path, "a", encoding="utf-8")
-            self._log_handle.write(
-                json.dumps(
-                    {
-                        "ts": time.time(),
-                        "pid": os.getpid(),
-                        "point": point,
-                        "spec": spec.label(),
-                        "call": spec.calls,
-                        "fired": spec.fired,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            self._log_handle.flush()
-        except OSError:
-            # The log is an audit convenience; it must never become a fault
-            # of its own.
-            self._log_failed = True
-
-    def _flush_log(self) -> None:
-        if self._log_handle is not None:
-            try:
-                self._log_handle.flush()
-                os.fsync(self._log_handle.fileno())
-            except OSError:
-                pass
 
     # -- introspection ---------------------------------------------------------------
 

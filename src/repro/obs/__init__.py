@@ -2,7 +2,9 @@
 
 ``repro.obs.trace`` records spans into a bounded ring plus an optional
 JSONL sink; ``repro.obs.merge`` reassembles the sinks of router, primary,
-and followers into one tree per trace id.
+and followers into one tree per trace id; ``repro.obs.sink`` is the
+fail-silent JSONL file that the span sink, the fault audit log and the
+HTTP access log all write through.
 """
 
 from repro.obs.trace import (
@@ -22,6 +24,7 @@ from repro.obs.trace import (
     recorder,
     span,
 )
+from repro.obs.sink import JsonlSink
 from repro.obs.merge import (
     build_tree,
     format_trace,
@@ -31,6 +34,7 @@ from repro.obs.merge import (
 )
 
 __all__ = [
+    "JsonlSink",
     "LOG_ENV_VAR",
     "SERVICE_ENV_VAR",
     "SPAN_ID_HEADER",

@@ -4,9 +4,9 @@ A trace is born at HTTP ingress (router or primary), rides across process
 boundaries in ``x-repro-trace-id`` / ``x-repro-span-id`` headers, and is
 stamped into journal entries so follower applies join the same tree.  Each
 process records its own spans into a bounded in-memory ring (served by
-``GET /trace``) and, when ``REPRO_TRACE_LOG`` points at a file, into an
-append-only JSONL sink with the same fail-silent contract as the fault
-audit log: telemetry must never become a fault of its own.
+``GET /trace``) and, when ``REPRO_TRACE_LOG`` points at a file, into a
+:class:`~repro.obs.sink.JsonlSink`, the fail-silent JSONL file the fault
+audit log also writes to: telemetry must never become a fault of its own.
 
 Spans are cheap to the point of invisibility on untraced paths:
 ``span(...)`` with no ambient context and ``new_trace=False`` yields a
@@ -16,7 +16,6 @@ configured) pays a thread-local read and nothing else.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -24,6 +23,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
+
+from repro.obs.sink import JsonlSink
 
 TRACE_ID_HEADER = "x-repro-trace-id"
 SPAN_ID_HEADER = "x-repro-span-id"
@@ -94,8 +95,7 @@ class TraceRecorder:
         self._ring: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._listeners: List[Callable[[Dict[str, Any]], None]] = []
-        self._log_handle = None
-        self._log_failed = False
+        self._sink = JsonlSink(log_path) if log_path else None
 
     # -- configuration -------------------------------------------------
 
@@ -116,27 +116,14 @@ class TraceRecorder:
         with self._lock:
             self._ring.append(record)
             listeners = list(self._listeners)
-            self._write_log(record)
+            if self._sink is not None:
+                self._sink.write(record)
         for listener in listeners:
             try:
                 listener(record)
             except Exception:
                 # A broken listener must not break the traced request.
                 pass
-
-    def _write_log(self, record: Dict[str, Any]) -> None:
-        # Same contract as the fault audit log: append-only JSONL, one
-        # flush per line, and any OSError silences the sink for good —
-        # the sink is an audit convenience, never a fault of its own.
-        if not self.log_path or self._log_failed:
-            return
-        try:
-            if self._log_handle is None:
-                self._log_handle = open(self.log_path, "a", encoding="utf-8")
-            self._log_handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._log_handle.flush()
-        except OSError:
-            self._log_failed = True
 
     # -- reading -------------------------------------------------------
 
@@ -148,13 +135,8 @@ class TraceRecorder:
         return records
 
     def close(self) -> None:
-        with self._lock:
-            if self._log_handle is not None:
-                try:
-                    self._log_handle.close()
-                except OSError:
-                    pass
-                self._log_handle = None
+        if self._sink is not None:
+            self._sink.close()
 
 
 # The default recorder honours the environment at import time, so drill

@@ -1,13 +1,14 @@
-"""The composition service: a concurrent serving front-end over the engine.
+"""The composition service: a concurrent front-end over the engine.
 
 * :mod:`repro.service.server` — :class:`CompositionService`: a request queue
   with admission control, in-flight deduplication (identical fingerprints
-  coalesce to one computation), micro-batching into
-  :class:`~repro.engine.batch.BatchComposer` calls, per-request
+  coalesce to one computation), each request run as one
+  :class:`~repro.engine.batch.BatchComposer` call on the thread that waits
+  for it (no serving thread), per-request
   :class:`~repro.compose.config.ComposerConfig` overrides, and durable hop
   checkpoints when backed by a :class:`~repro.catalog.MappingCatalog`;
 * :mod:`repro.service.metrics` — the metrics the service aggregates
-  (hit rates, per-phase timings, queue/batch statistics, degradation
+  (hit rates, per-phase timings, queue/execution statistics, degradation
   counters, labeled latency histograms with a Prometheus text exposition);
   request-scoped tracing lives in :mod:`repro.obs` and is threaded through
   every layer here — HTTP ingress spans, queue/execution spans, journal and

@@ -6,7 +6,7 @@ text-first — everything speaks the plain-text record formats of
 
 * ``GET /healthz`` — the service's *real* health as JSON: ``200`` with
   ``"status": "ok"`` when healthy, ``503`` with ``"status": "degraded"`` plus
-  the reasons (storage circuit breaker open, serving loop down, GC sweep
+  the reasons (storage circuit breaker open, service not running, GC sweep
   overdue), the breaker snapshot, the last GC sweep age, and the storage
   error counters.  Load balancers key on the status code; operators read the
   body.
@@ -54,18 +54,18 @@ while still following (a follower's catalog mirrors its primary; writing to
 it locally would fork the replicated sequence space).
 
 Requests funnel through the shared :class:`CompositionService`, so HTTP
-clients get the same admission control, deduplication, micro-batching and
-metrics as in-process callers.  Overload answers ``429``, malformed records
-``400``, unknown entries ``404``; ``429`` and degraded ``503`` responses
-carry a ``Retry-After`` header derived from the breaker probe interval so
-clients and routers back off instead of hammering a recovering node.
+clients get the same admission control, deduplication and metrics as
+in-process callers; each composition runs on the handler thread that waits
+for it.  Overload answers ``429``, malformed records ``400``, unknown
+entries ``404``; ``429`` and degraded ``503`` responses carry a
+``Retry-After`` header derived from the breaker probe interval so clients
+and routers back off instead of hammering a recovering node.
 Connections persist (HTTP/1.1 keep-alive); :mod:`repro.service.wire` says
 what closes one.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import threading
@@ -472,49 +472,13 @@ class _Handler(BaseHandler):
             )
 
 
-class _AccessSink:
-    """Append-only JSONL access log with the fault-audit fail-silent contract.
-
-    One record per finished request.  Any OSError silences the sink for
-    the rest of the process — the access log is an audit convenience and
-    must never turn request serving into an I/O casualty.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.Lock()
-        self._handle = None
-        self._failed = False
-
-    def write(self, record: dict) -> None:
-        with self._lock:
-            if self._failed:
-                return
-            try:
-                if self._handle is None:
-                    self._handle = open(self.path, "a", encoding="utf-8")
-                self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-                self._handle.flush()
-            except OSError:
-                self._failed = True
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-
-
 class _ServiceHTTPD(KeepAliveServer):
     """The shared server plus the attributes handlers reach through ``self.server``."""
 
     service: CompositionService
     follower: "Optional[ReplicationFollower]" = None
     elector: "Optional[LeaderElector]" = None
-    access_sink: Optional[_AccessSink] = None
+    access_sink: Optional[obs.JsonlSink] = None
 
     @property
     def role(self) -> str:
@@ -551,7 +515,7 @@ class ServiceHTTPServer:
         self.follower = follower
         self.elector = elector
         self._closed = False
-        self._access_sink = _AccessSink(access_log) if access_log else None
+        self._access_sink = obs.JsonlSink(access_log) if access_log else None
         self._httpd = _ServiceHTTPD((host, port), _Handler)
         # Handlers reach the service through their ``server`` attribute.
         self._httpd.service = service

@@ -1,15 +1,16 @@
 """Thread-safe metrics for the composition service.
 
 One :class:`ServiceMetrics` instance rides on each
-:class:`~repro.service.server.CompositionService`; the serving loop feeds it
-and :meth:`ServiceMetrics.snapshot` renders everything as one plain dict —
-the payload of the HTTP ``/metrics`` endpoint and the CLI's ``metrics``
-output.  Collected:
+:class:`~repro.service.server.CompositionService`; whichever thread runs a
+request feeds it, and :meth:`ServiceMetrics.snapshot` renders everything as
+one plain dict — the payload of the HTTP ``/metrics`` endpoint and the CLI's
+``metrics`` output.  Collected:
 
 * request counters — submitted, completed, failed, timed out, coalesced into
   an in-flight duplicate, rejected by admission control, blocked waiting for
   queue space, expired past their admission deadline;
-* batching — number of micro-batches executed and mean batch size;
+* batching — number of :class:`~repro.engine.batch.BatchComposer` calls
+  and items they ran (one item per call, so the mean batch size is 1);
 * latency — cumulative queue-wait and execution seconds (with means);
 * composition phases — the per-phase wall-clock buckets of every served
   result (:mod:`repro.compose.phases`), summed; and
@@ -193,7 +194,7 @@ class ServiceMetrics:
                 self._cache_misses += cache_stats.get("misses", 0)
 
     def record_batch_failure(self, error_type: str, items: int) -> None:
-        """One whole micro-batch group died in execution, failing ``items`` tickets.
+        """One whole ``BatchComposer`` call died, failing its ``items`` requests.
 
         ``error_type`` is the exception class name — the point of this
         counter is that "batch execution failed" stops being one opaque
@@ -257,7 +258,7 @@ class ServiceMetrics:
 
         Unknown names are dropped rather than raised: observations arrive
         from span listeners bridging other layers, and a misnamed span
-        must not take down the serving loop.
+        must not fail the request that recorded it.
         """
         with self._lock:
             hist = self.histograms.get(histogram)

@@ -1,4 +1,4 @@
-"""The composition service: a concurrent serving front-end over the engine.
+"""The composition service: a concurrent front-end over the engine.
 
 The ROADMAP's north star is a *system*, not a library: many clients submit
 composition work concurrently, and the engine's accelerators — the shared
@@ -18,15 +18,16 @@ all of them at once.  :class:`CompositionService` is that front-end:
   matches one that is queued *or currently executing* coalesces onto that
   computation and receives the same payload (sound because composition is
   deterministic in exactly those inputs);
-* **micro-batching** — the serving loop drains up to ``micro_batch_size``
-  requests (waiting ``micro_batch_wait_seconds`` for stragglers), groups them
-  by kind and configuration, and executes each group through one
-  :class:`~repro.engine.batch.BatchComposer` call (``run`` / ``run_chains``),
-  so batched requests share one expression cache and one checkpoint store
-  per batch;
+* **execution on the waiting thread** — there is no serving thread: a
+  queued request runs on the thread that waits for its ticket (under
+  ``repro serve``, the HTTP handler), as one
+  :class:`~repro.engine.batch.BatchComposer` call (``run`` / ``run_chains``)
+  with one item.  One execution turn keeps compositions serial and in
+  submission order: a waiter first runs any older queued request, and a
+  waiter whose request another thread is running waits for that run;
 * **per-request configuration** — a submission may carry its own
-  ``ComposerConfig``; configs are part of the dedup key and the grouping, so
-  requests only share work when their results would be identical;
+  ``ComposerConfig``; configs are part of the dedup key, so requests only
+  share work when their results would be identical;
 * **durability** — given a :class:`~repro.catalog.MappingCatalog`, chain
   requests record hop checkpoints in the catalog's *persistent* store (every
   recorded hop is written through), so a restarted service answers warm;
@@ -41,8 +42,8 @@ all of them at once.  :class:`CompositionService` is that front-end:
   eviction, old result versions), so a long-lived service does not grow its
   catalog without bound; and
 * **metrics** — :meth:`CompositionService.metrics` surfaces queue depths,
-  dedup/rejection counters, batch sizes, cache/checkpoint hit rates and the
-  summed per-phase timings of everything served
+  dedup/rejection counters, execution counts, cache/checkpoint hit rates and
+  the summed per-phase timings of everything served
   (:mod:`repro.service.metrics`).
 
 Results are byte-identical to calling :func:`repro.compose.compose` /
@@ -59,7 +60,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.digest import DIGEST_SIZE
 from repro.catalog.catalog import MappingCatalog
@@ -111,21 +112,18 @@ class ServiceConfig:
     admission:
         What happens to a submission past the bound: ``"reject"`` (the
         default) raises :class:`ServiceOverloadedError` immediately;
-        ``"block"`` waits for the queue to drain below ``max_pending``.
+        ``"block"`` waits for the queue to drain below ``max_pending``,
+        running the oldest queued request itself whenever no other thread
+        is running one.
     deadline_seconds:
         With ``admission="block"``, how long a submission may wait for queue
         space before :class:`~repro.exceptions.ServiceDeadlineError` is
         raised; ``None`` waits indefinitely.  Each ``submit_*`` call may
         override it per request.
-    micro_batch_size:
-        Maximum requests drained into one serving batch.
-    micro_batch_wait_seconds:
-        How long the serving loop waits for stragglers once it holds at least
-        one request; ``0`` serves immediately (lowest latency, least
-        batching).
     timeout_seconds:
         Soft per-request budget, forwarded to the underlying
-        :class:`~repro.engine.batch.BatchConfig`.
+        :class:`~repro.engine.batch.BatchConfig`: a composition that runs
+        longer is reported as timed out, never interrupted.
     composer_config:
         The default :class:`ComposerConfig` for requests that do not carry
         their own override.
@@ -148,7 +146,7 @@ class ServiceConfig:
         the breaker on success.
     lease_ttl_seconds:
         When set (and a catalog is attached), the service claims each
-        request-group key in a cross-process
+        request key in a cross-process
         :class:`~repro.catalog.leases.LeaseTable` under
         ``<catalog root>/leases`` before executing it, so two service
         processes fed the same request do the work once while the claim is
@@ -181,8 +179,6 @@ class ServiceConfig:
     max_pending: int = 1024
     admission: str = "reject"
     deadline_seconds: Optional[float] = None
-    micro_batch_size: int = 16
-    micro_batch_wait_seconds: float = 0.002
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
     gc_interval_seconds: Optional[float] = None
@@ -212,10 +208,6 @@ class ServiceConfig:
             )
         if self.deadline_seconds is not None and self.deadline_seconds <= 0:
             raise EngineError("deadline_seconds must be positive")
-        if self.micro_batch_size < 1:
-            raise EngineError("micro_batch_size must be positive")
-        if self.micro_batch_wait_seconds < 0:
-            raise EngineError("micro_batch_wait_seconds must be non-negative")
         if self.gc_interval_seconds is not None and self.gc_interval_seconds <= 0:
             raise EngineError("gc_interval_seconds must be positive")
         if self.gc_checkpoint_max_files is not None and self.gc_checkpoint_max_files < 0:
@@ -250,26 +242,32 @@ class Ticket:
     """A claim on one submitted request (a minimal, thread-safe future).
 
     ``coalesced`` is ``True`` when this submission deduplicated onto an
-    already in-flight identical request.  :meth:`result` blocks until the
-    serving loop delivers, then returns the payload
+    already in-flight identical request.  :meth:`result` runs the request
+    on the calling thread — after any older queued request — or waits for
+    the thread already running it, then returns the payload
     (:class:`~repro.compose.result.CompositionResult` or
     :class:`~repro.engine.chain.ChainResult`) or raises
     :class:`~repro.exceptions.ServiceError`.
     """
 
-    def __init__(self, coalesced: bool = False):
-        self._event = threading.Event()
+    def __init__(self, service: "CompositionService", coalesced: bool = False):
+        self._service = service
+        self._done = False
         self._payload: object = None
         self._error: Optional[ServiceError] = None
         self.coalesced = coalesced
 
     def done(self) -> bool:
         """``True`` once a payload or an error has been delivered."""
-        return self._event.is_set()
+        return self._done
 
     def result(self, timeout: Optional[float] = None) -> object:
-        """Block for the payload (raises ``ServiceError`` on failure/timeout)."""
-        if not self._event.wait(timeout):
+        """Run or wait for the request (raises ``ServiceError`` on failure/timeout).
+
+        ``timeout`` bounds only the time spent waiting for other threads'
+        runs; a composition this thread runs itself is never interrupted.
+        """
+        if not self._service._work_until(self.done, timeout):
             raise ServiceError(f"no result within {timeout} seconds")
         if self._error is not None:
             raise self._error
@@ -277,11 +275,11 @@ class Ticket:
 
     def _deliver(self, payload: object) -> None:
         self._payload = payload
-        self._event.set()
+        self._done = True
 
     def _fail(self, error: ServiceError) -> None:
         self._error = error
-        self._event.set()
+        self._done = True
 
 
 class _WorkItem:
@@ -297,8 +295,8 @@ class _WorkItem:
         self.tickets: List[Ticket] = []
         self.enqueued_at = time.perf_counter()
         # The submitting thread's span context (if the request rode in under
-        # a trace): the serving loop runs in another thread, so queue-wait
-        # and execution spans are recorded retroactively against this parent.
+        # a trace): whichever thread runs the item records its spans under
+        # this context, never under its own.
         self.enqueued_wall = time.time()
         self.trace = obs.current()
 
@@ -329,15 +327,19 @@ class CompositionService:
             catalog.checkpoints if catalog is not None else CheckpointStore()
         )
         self._lock = threading.Lock()
-        self._work_available = threading.Condition(self._lock)
-        self._space_available = threading.Condition(self._lock)
+        # Notified whenever an item starts (a queue slot frees), an item's
+        # tickets are delivered (the execution turn frees), or the service
+        # starts or stops.  Waiters and blocked submitters both wait on it.
+        self._progress = threading.Condition(self._lock)
         self._queue: Deque[_WorkItem] = deque()
         self._in_flight: Dict[bytes, _WorkItem] = {}
         self._composers: Dict[bytes, BatchComposer] = {}
-        self._thread: Optional[threading.Thread] = None
+        # "new" until start(), then "running" until stop() makes it "stopped".
+        self._state = "new"
+        # The execution turn: True while some thread is running an item.
+        self._executing = False
         self._gc_thread: Optional[threading.Thread] = None
         self._gc_stop = threading.Event()
-        self._stopping = False
         self._last_gc_monotonic: Optional[float] = None
         self._started_monotonic: Optional[float] = None
         self._gc_consecutive_failures = 0
@@ -386,16 +388,17 @@ class CompositionService:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> "CompositionService":
-        """Start the serving loop (idempotent); returns ``self``."""
+        """Start the service (idempotent); returns ``self``.
+
+        No serving thread is created.  Whatever was submitted before the
+        call runs here, on the calling thread; later submissions run on the
+        threads that wait for them.
+        """
         with self._lock:
-            if self._thread is not None and self._thread.is_alive():
+            if self._state == "running":
                 return self
-            self._stopping = False
+            self._state = "running"
             self._started_monotonic = time.monotonic()
-            self._thread = threading.Thread(
-                target=self._serve_loop, name="repro-composition-service", daemon=True
-            )
-            self._thread.start()
             if (
                 self.catalog is not None
                 and self.config.gc_interval_seconds is not None
@@ -414,19 +417,24 @@ class CompositionService:
                     target=self._probe_loop, name="repro-service-probe", daemon=True
                 )
                 self._probe_thread.start()
+            last = self._queue[-1].tickets[0] if self._queue else None
+            self._progress.notify_all()
         if self.leases is not None:
             self.leases.start_heartbeat()
         obs.recorder().add_listener(self._span_listener)
+        if last is not None:
+            self._work_until(last.done)
         return self
 
     def stop(self, drain: bool = True) -> None:
-        """Stop the serving loop.
+        """Stop the service.
 
-        With ``drain`` (the default) everything already queued is served
+        With ``drain`` (the default) everything already queued runs before
+        the call returns — on the calling thread, unless a waiter gets to it
         first; otherwise queued requests fail with :class:`ServiceError`.
-        Submissions blocked in admission are woken and fail with
-        :class:`ServiceError` (the service is stopping, space will never
-        free for them).
+        Either way the call waits for the composition in progress.  Submissions blocked in admission are woken
+        and fail with :class:`ServiceError` (the service is stopping, space
+        will never free for them).
         """
         obs.recorder().remove_listener(self._span_listener)
         self._gc_stop.set()
@@ -438,14 +446,11 @@ class CompositionService:
                     self._in_flight.pop(item.key, None)
                     for ticket in item.tickets:
                         ticket._fail(ServiceError("service stopped before serving"))
-            self._stopping = True
-            self._work_available.notify_all()
-            self._space_available.notify_all()
-            thread = self._thread
+            self._state = "stopped"
+            self._progress.notify_all()
             gc_thread = self._gc_thread
             probe_thread = self._probe_thread
-        if thread is not None:
-            thread.join()
+        self._work_until(lambda: not self._queue and not self._executing)
         if gc_thread is not None:
             gc_thread.join()
         if probe_thread is not None:
@@ -454,7 +459,6 @@ class CompositionService:
             self.leases.stop_heartbeat()
             self.leases.release_all()
         with self._lock:
-            self._thread = None
             self._gc_thread = None
             self._probe_thread = None
 
@@ -466,8 +470,7 @@ class CompositionService:
 
     @property
     def is_running(self) -> bool:
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+        return self._state == "running"
 
     # -- submission ----------------------------------------------------------------
 
@@ -484,8 +487,8 @@ class CompositionService:
         service-wide admission deadline for this request (meaningful with
         ``admission="block"``).
 
-        Submissions are accepted before :meth:`start` (they queue and are
-        served once the loop runs) but refused after :meth:`stop`.
+        Submissions are accepted before :meth:`start` (they queue, and
+        :meth:`start` runs them) but refused after :meth:`stop`.
         """
         effective = config or self.config.composer_config
         key = self._request_key("problem", problem.fingerprint(), effective)
@@ -562,8 +565,8 @@ class CompositionService:
         )
         deadline = time.monotonic() + budget if budget is not None else None
         blocked = False
-        with self._lock:
-            while True:
+        while True:
+            with self._lock:
                 # A waiter whose deadline has expired gets ServiceDeadlineError
                 # *whatever* woke it — space freeing, a shutdown broadcast, a
                 # spurious wakeup.  Checking the deadline before the stop flag
@@ -579,17 +582,23 @@ class CompositionService:
                     )
                 # Before the first start() submissions simply accumulate in
                 # the queue; only a *stopped* service refuses work.
-                if self._stopping:
+                if self._state == "stopped":
                     raise ServiceError("the service is stopped; call start() first")
                 existing = self._in_flight.get(key)
                 if existing is not None:
                     # Identical in-flight request (queued or executing): coalesce.
-                    ticket = Ticket(coalesced=True)
+                    ticket = Ticket(self, coalesced=True)
                     existing.tickets.append(ticket)
                     self.metrics_store.record_submitted(coalesced=True)
                     return ticket
                 if len(self._queue) < self.config.max_pending:
-                    break
+                    item = _WorkItem(key, kind, payload, config)
+                    ticket = Ticket(self)
+                    item.tickets.append(ticket)
+                    self._in_flight[key] = item
+                    self._queue.append(item)
+                    self.metrics_store.record_submitted()
+                    return ticket
                 if self.config.admission == "reject":
                     self.metrics_store.record_rejected()
                     raise ServiceOverloadedError(
@@ -604,56 +613,78 @@ class CompositionService:
                 if not blocked:
                     blocked = True
                     self.metrics_store.record_blocked()
-                self._space_available.wait(remaining)
-            item = _WorkItem(key, kind, payload, config)
-            ticket = Ticket()
-            item.tickets.append(ticket)
-            self._in_flight[key] = item
-            self._queue.append(item)
-            self.metrics_store.record_submitted()
-            self._work_available.notify()
-            return ticket
-
-    # -- serving loop --------------------------------------------------------------
-
-    def _serve_loop(self) -> None:
-        while True:
-            batch = self._next_batch()
-            if not batch:
-                return
-            for (kind, _), group in _grouped(batch).items():
-                self._execute_group(kind, group)
-
-    def _next_batch(self) -> List[_WorkItem]:
-        """Block for work, then drain up to one micro-batch of items."""
-        with self._lock:
-            while not self._queue and not self._stopping:
-                self._work_available.wait()
-            if not self._queue:
-                return []  # stopping and drained
-            batch = [self._queue.popleft()]
-            self._space_available.notify()
-        # Hold the door briefly for stragglers so bursts batch together.
-        deadline = time.perf_counter() + self.config.micro_batch_wait_seconds
-        while len(batch) < self.config.micro_batch_size:
-            with self._lock:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    self._space_available.notify()
+                # Free a slot by running the oldest item here when no other
+                # thread is running one; otherwise wait for a slot.  A
+                # submitter that queues past the bound before waiting on any
+                # ticket thus never waits on itself.
+                oldest = self._take_turn()
+                if oldest is None:
+                    self._progress.wait(remaining)
                     continue
-                if self._stopping:
-                    break
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0:
-                    break
-                self._work_available.wait(remaining)
-        return batch
+            self._run_turn(oldest)
+
+    # -- execution -----------------------------------------------------------------
+
+    def _work_until(self, done: Callable[[], bool], timeout: Optional[float] = None) -> bool:
+        """Run queued items on this thread, oldest first, until ``done()``.
+
+        While another thread holds the execution turn, wait for it.
+        ``timeout`` bounds only that waiting, with one deadline for the
+        whole call; ``False`` means it ran out before ``done()``.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._lock:
+                if done():
+                    return True
+                item = self._take_turn()
+                if item is None:
+                    remaining = None if deadline is None else deadline - time.monotonic()
+                    if remaining is not None and remaining <= 0:
+                        return False
+                    self._progress.wait(remaining)
+                    continue
+            self._run_turn(item)
+
+    def _take_turn(self) -> Optional[_WorkItem]:
+        """Claim the execution turn and pop the oldest item (lock held).
+
+        ``None`` when nothing is queued, another thread holds the turn, or
+        the service was never started.
+        """
+        if self._executing or not self._queue or self._state == "new":
+            return None
+        self._executing = True
+        item = self._queue.popleft()
+        self._progress.notify_all()  # a slot freed: wake blocked submitters
+        return item
+
+    def _run_turn(self, item: _WorkItem) -> None:
+        """Run a popped item, deliver its tickets, and hand the turn back."""
+        payload: object = None
+        error: Optional[ServiceError] = ServiceError("composition did not complete")
+        try:
+            payload, error = self._execute(item)
+        finally:
+            # Leave the in-flight table as the tickets are delivered: after
+            # that, an identical new request must start a fresh computation
+            # rather than coalesce onto this finished one.
+            with self._lock:
+                self._in_flight.pop(item.key, None)
+                for ticket in item.tickets:
+                    if error is None:
+                        ticket._deliver(payload)
+                    else:
+                        ticket._fail(error)
+                self._executing = False
+                self._progress.notify_all()
 
     def _composer_for(self, config: ComposerConfig) -> BatchComposer:
         """One cached :class:`BatchComposer` per composer-config fingerprint.
 
         Caching keeps the composer's state — above all the shared checkpoint
-        store — warm across micro-batches.
+        store — warm across requests.  Only the thread holding the execution
+        turn calls this.
         """
         fingerprint = config.fingerprint()
         composer = self._composers.get(fingerprint)
@@ -665,44 +696,76 @@ class CompositionService:
             self._composers[fingerprint] = composer
         return composer
 
-    def _execute_group(self, kind: str, group: List[_WorkItem]) -> None:
-        claimed = self._claim_leases(group)
-        try:
-            self._execute_group_claimed(kind, group)
-        finally:
-            self._release_leases(claimed)
+    def _execute(self, item: _WorkItem) -> Tuple[object, Optional[ServiceError]]:
+        """Compose one item under its submitter's trace; returns (payload, error).
 
-    def _execute_group_claimed(self, kind: str, group: List[_WorkItem]) -> None:
-        composer = self._composer_for(group[0].config)
+        Spans and metrics are recorded here, before any ticket is delivered,
+        so a ``/metrics`` or ``/trace`` read issued right after the response
+        sees them.
+        """
+        with obs.ambient(item.trace):
+            lease = self._claim_lease(item)
+            try:
+                queue_seconds = time.perf_counter() - item.enqueued_at
+                if item.trace is not None:
+                    obs.record_span(
+                        "service.queue",
+                        parent=item.trace,
+                        started_at=item.enqueued_wall,
+                        duration=queue_seconds,
+                        kind=item.kind,
+                    )
+                with obs.span("service.execute", kind=item.kind) as execute:
+                    started_wall = time.time()
+                    payload, status, error, execution_seconds = self._compose(item)
+                    execute.set("status_value", status)
+                    phase_seconds = _phase_seconds(payload)
+                    if execute.context is not None:
+                        # Phases are timed in buckets, not live spans: each
+                        # bucket becomes one child of the execution span.
+                        for phase, seconds in phase_seconds:
+                            obs.record_span(
+                                phases.span_name(phase),
+                                parent=execute.context,
+                                started_at=started_wall,
+                                duration=seconds,
+                            )
+            finally:
+                self._release_lease(lease)
+        self.metrics_store.record_completed(
+            status=status,
+            queue_seconds=queue_seconds,
+            execution_seconds=execution_seconds,
+            phase_seconds=phase_seconds,
+        )
+        return payload, error
+
+    def _compose(self, item: _WorkItem) -> Tuple[object, str, Optional[ServiceError], float]:
+        """One :class:`BatchComposer` call with one item.
+
+        Returns (payload, status, error, execution seconds); the payload is
+        ``None`` unless the composition succeeded.
+        """
+        composer = self._composer_for(item.config)
+        run = composer.run_chains if item.kind == "chain" else composer.run
         started = time.perf_counter()
         try:
-            if kind == "chain":
-                report = composer.run_chains([item.payload for item in group])
-            else:
-                report = composer.run([item.payload for item in group])
-        except Exception as exc:  # noqa: BLE001 - a broken batch must not kill the loop
-            elapsed = time.perf_counter() - started
-            # The blanket catch used to erase *what* failed; record the
-            # exception type so /metrics distinguishes a sick disk from a
-            # code bug, and surface it in the error each ticket receives.
-            self.metrics_store.record_batch_failure(type(exc).__name__, len(group))
-            error = ServiceError(
-                f"batch execution failed with {type(exc).__name__}: {exc!r}"
-            )
-            for item in group:
-                self._finish(item, None, error, elapsed / max(len(group), 1))
-            return
-        self.metrics_store.record_batch(size=len(group), cache_stats=report.cache_stats)
-        for item, outcome in zip(group, report.items):
-            if outcome.status is ProblemStatus.SUCCEEDED:
-                self._finish(item, outcome, None, outcome.elapsed_seconds)
-            else:
-                self._finish(item, outcome, _item_error(outcome), outcome.elapsed_seconds)
+            report = run([item.payload])
+        except Exception as exc:  # noqa: BLE001 - a broken run fails its tickets, not its caller
+            # Record the exception type so /metrics distinguishes a sick
+            # disk from a code bug, and surface it in each ticket's error.
+            self.metrics_store.record_batch_failure(type(exc).__name__, 1)
+            error = ServiceError(f"batch execution failed with {type(exc).__name__}: {exc!r}")
+            return None, ProblemStatus.FAILED.value, error, time.perf_counter() - started
+        self.metrics_store.record_batch(size=1, cache_stats=report.cache_stats)
+        (outcome,) = report.items
+        error = None if outcome.status is ProblemStatus.SUCCEEDED else _item_error(outcome)
+        return outcome.result, outcome.status.value, error, outcome.elapsed_seconds
 
     # -- cross-process claims --------------------------------------------------------
 
-    def _claim_leases(self, group: List[_WorkItem]) -> List[Lease]:
-        """Claim every item's request key before executing the group.
+    def _claim_lease(self, item: _WorkItem) -> Optional[Lease]:
+        """Claim the item's request key before executing it.
 
         While a claim is live, a peer service process serving the identical
         request waits instead of recomputing — cross-process deduplication
@@ -714,93 +777,25 @@ class CompositionService:
         into an availability bug.
         """
         if self.leases is None:
-            return []
+            return None
         wait = (
             self.config.lease_wait_seconds
             if self.config.lease_wait_seconds is not None
             else 4.0 * (self.config.lease_ttl_seconds or 0.0)
         )
-        claimed: List[Lease] = []
-        for item in group:
-            key = item.key.hex()
-            try:
-                claimed.append(self.leases.wait_acquire(key, timeout=wait))
-            except (LeaseUnavailableError, CatalogError, OSError):
-                self.metrics_store.record_lease_claim_failure()
-        return claimed
-
-    def _release_leases(self, claimed: List[Lease]) -> None:
-        if self.leases is None:
-            return
-        for lease in claimed:
-            try:
-                self.leases.release(lease.key)
-            except (CatalogError, OSError):  # pragma: no cover - best-effort
-                pass
-
-    def _finish(
-        self,
-        item: _WorkItem,
-        outcome: Optional[BatchItemResult],
-        error: Optional[ServiceError],
-        execution_seconds: float,
-    ) -> None:
-        # Pop from the in-flight table *before* delivering: once tickets are
-        # woken, an identical new request must start a fresh computation
-        # rather than coalesce onto this finished one.
-        with self._lock:
-            self._in_flight.pop(item.key, None)
-            tickets = list(item.tickets)
-        payload = outcome.result if outcome is not None and error is None else None
-        status = (
-            outcome.status.value
-            if outcome is not None
-            else ProblemStatus.FAILED.value
-        )
-        # Metrics and spans are recorded before any caller wakes, so a
-        # /metrics or /trace read issued right after the response sees them.
         try:
-            queue_seconds = max(0.0, time.perf_counter() - item.enqueued_at - execution_seconds)
-            self.metrics_store.record_completed(
-                status=status,
-                queue_seconds=queue_seconds,
-                execution_seconds=execution_seconds,
-                phase_seconds=_phase_seconds(payload),
-            )
-            if item.trace is not None:
-                # The serving loop is not the submitting thread, so these spans
-                # are recorded retroactively against the submitter's context:
-                # queue wait, then execution, with the composition's per-phase
-                # buckets bridged as children of the execution span.
-                obs.record_span(
-                    "service.queue",
-                    parent=item.trace,
-                    started_at=item.enqueued_wall,
-                    duration=queue_seconds,
-                    kind=item.kind,
-                )
-                execute = obs.record_span(
-                    "service.execute",
-                    parent=item.trace,
-                    started_at=item.enqueued_wall + queue_seconds,
-                    duration=execution_seconds,
-                    kind=item.kind,
-                    status_value=status,
-                )
-                phase_start = item.enqueued_wall + queue_seconds
-                for phase, seconds in _phase_seconds(payload):
-                    obs.record_span(
-                        phases.span_name(phase),
-                        parent=execute,
-                        started_at=phase_start,
-                        duration=seconds,
-                    )
-        finally:
-            for ticket in tickets:
-                if error is None:
-                    ticket._deliver(payload)
-                else:
-                    ticket._fail(error)
+            return self.leases.wait_acquire(item.key.hex(), timeout=wait)
+        except (LeaseUnavailableError, CatalogError, OSError):
+            self.metrics_store.record_lease_claim_failure()
+            return None
+
+    def _release_lease(self, lease: Optional[Lease]) -> None:
+        if lease is None or self.leases is None:
+            return
+        try:
+            self.leases.release(lease.key)
+        except (CatalogError, OSError):  # pragma: no cover - best-effort
+            pass
 
     # -- garbage collection --------------------------------------------------------
 
@@ -1049,8 +1044,9 @@ class CompositionService:
 
         Degraded means the service still answers compositions but some
         durability promise is suspended: the storage breaker is open (disk
-        writes are being dropped), the serving loop is not running, or the
-        configured GC sweep has not completed within two intervals.
+        writes are being dropped), the service is not running (not started,
+        or stopped), or the configured GC sweep has not completed within two
+        intervals.
         """
         breaker = self.breaker.snapshot()
         reasons = []
@@ -1060,7 +1056,7 @@ class CompositionService:
                 f"(last failure: {breaker['last_failure']})"
             )
         if not self.is_running:
-            reasons.append("serving loop is not running")
+            reasons.append("service is not running")
         last_gc_age: Optional[float] = None
         if self._last_gc_monotonic is not None:
             last_gc_age = time.monotonic() - self._last_gc_monotonic
@@ -1137,14 +1133,6 @@ class CompositionService:
     def __repr__(self) -> str:
         state = "running" if self.is_running else "stopped"
         return f"<CompositionService ({state}): {len(self._queue)} queued>"
-
-
-def _grouped(batch: Sequence[_WorkItem]) -> Dict[Tuple[str, bytes], List[_WorkItem]]:
-    """Group a micro-batch by (kind, composer-config fingerprint), in order."""
-    groups: Dict[Tuple[str, bytes], List[_WorkItem]] = {}
-    for item in batch:
-        groups.setdefault((item.kind, item.config.fingerprint()), []).append(item)
-    return groups
 
 
 def _item_error(outcome: BatchItemResult) -> ServiceError:

@@ -104,7 +104,6 @@ class TestGracefulDegradation:
     ):
         catalog = MappingCatalog(tmp_path / "cat")
         config = ServiceConfig(
-            micro_batch_wait_seconds=0.0,
             breaker_failure_threshold=3,
             breaker_recovery_seconds=3600.0,  # stays open for the whole test
         )
@@ -130,7 +129,6 @@ class TestGracefulDegradation:
     def test_probe_closes_the_breaker_when_storage_recovers(self, tmp_path, chains):
         catalog = MappingCatalog(tmp_path / "cat")
         config = ServiceConfig(
-            micro_batch_wait_seconds=0.0,
             breaker_failure_threshold=1,
             breaker_recovery_seconds=0.01,
         )
@@ -155,7 +153,6 @@ class TestGracefulDegradation:
 
         catalog = MappingCatalog(tmp_path / "cat")
         config = ServiceConfig(
-            micro_batch_wait_seconds=0.0,
             breaker_failure_threshold=1,
             breaker_recovery_seconds=0.05,
         )
@@ -173,7 +170,7 @@ class TestGracefulDegradation:
     def test_store_result_drops_while_degraded_and_counts(self, tmp_path, chains):
         catalog = MappingCatalog(tmp_path / "cat")
         config = ServiceConfig(
-            micro_batch_wait_seconds=0.0, breaker_recovery_seconds=3600.0
+            breaker_recovery_seconds=3600.0
         )
         with CompositionService(catalog, config) as svc:
             mapping = chains[0][0]

@@ -43,7 +43,7 @@ catalog = MappingCatalog(sys.argv[1])
 elector = LeaderElector(
     catalog, election_dir=sys.argv[2], election_timeout_seconds=float(sys.argv[3])
 ).start()
-service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+service = CompositionService(catalog, ServiceConfig())
 service.start()
 server = ServiceHTTPServer(service, port=0, elector=elector)
 server.start()
@@ -73,7 +73,7 @@ elector = LeaderElector(
     election_timeout_seconds=float(sys.argv[5]),
     health_timeout_seconds=0.5,
 ).start()
-service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+service = CompositionService(catalog, ServiceConfig())
 service.start()
 server = ServiceHTTPServer(service, port=0, follower=follower, elector=elector)
 server.start()

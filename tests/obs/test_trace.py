@@ -132,6 +132,34 @@ class TestSink:
         obs.recorder().remove_listener(seen.append)
 
 
+class TestJsonlSink:
+    def test_appends_one_line_per_record_across_reopens(self, tmp_path):
+        path = tmp_path / "audit.jsonl"
+        sink = obs.JsonlSink(str(path))
+        sink.write({"n": 1})
+        sink.sync()
+        sink.close()
+        reopened = obs.JsonlSink(str(path))
+        reopened.write({"n": 2})
+        try:
+            # Flushed as written: readable before the sink is closed.
+            assert [json.loads(line) for line in path.read_text().splitlines()] == [
+                {"n": 1},
+                {"n": 2},
+            ]
+        finally:
+            reopened.close()
+
+    def test_first_os_error_silences_it_for_good(self, tmp_path):
+        sink = obs.JsonlSink(str(tmp_path))  # a directory: open() fails
+        sink.write({"n": 1})
+        sink.sync()
+        (tmp_path / "late.jsonl").write_text("")
+        sink.path = str(tmp_path / "late.jsonl")  # now writable, still silent
+        sink.write({"n": 2})
+        assert (tmp_path / "late.jsonl").read_text() == ""
+
+
 class TestMergeAndVerify:
     def _record(self, trace_id, span_id, parent_id=None, **extra):
         record = {

@@ -5,6 +5,7 @@ over HTTP, and the answer must be byte-identical to a direct ``compose()``.
 """
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -27,7 +28,7 @@ from repro.textio.records import (
 @pytest.fixture()
 def stack(tmp_path):
     catalog = MappingCatalog(tmp_path / "cat")
-    service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+    service = CompositionService(catalog, ServiceConfig())
     service.start()
     server = ServiceHTTPServer(service, port=0)  # ephemeral port
     server.start()
@@ -196,7 +197,7 @@ class TestRetryAfter:
         catalog = MappingCatalog(tmp_path / "cat")
         service = CompositionService(
             catalog,
-            ServiceConfig(micro_batch_wait_seconds=0.0, max_pending=1),
+            ServiceConfig(max_pending=1),
         )
         # Deliberately NOT started: the queue never drains, so the second
         # submission over HTTP is rejected at admission.
@@ -226,7 +227,6 @@ class TestReplicaAcks:
         service = CompositionService(
             catalog,
             ServiceConfig(
-                micro_batch_wait_seconds=0.0,
                 ack_level="replica",
                 replica_ack_timeout_seconds=0.2,
             ),
@@ -333,7 +333,7 @@ class TestThreadFailureCounters:
         catalog = MappingCatalog(tmp_path / "cat")
         service = CompositionService(
             catalog,
-            ServiceConfig(micro_batch_wait_seconds=0.0, gc_interval_seconds=0.01),
+            ServiceConfig(gc_interval_seconds=0.01),
         )
 
         def broken_gc(**kwargs):
@@ -355,4 +355,67 @@ class TestThreadFailureCounters:
             assert health["status"] == "degraded"
             assert any("gc sweep failing" in r for r in health["reasons"])
         finally:
+            service.stop()
+
+
+class TestAccessLog:
+    def _serve(self, tmp_path, access_log):
+        service = CompositionService(MappingCatalog(tmp_path / "cat")).start()
+        server = ServiceHTTPServer(service, port=0, access_log=access_log).start()
+        host, port = server.address
+        return service, server, f"http://{host}:{port}"
+
+    def _requests(self, base):
+        """A GET, a traced POST and a 404; returns the POST's trace id."""
+        assert _get(base + "/healthz")[0] == 200
+        trace_id = "ab" * 16
+        request = urllib.request.Request(
+            base + "/compose",
+            data=problem_to_text(problem_by_name("example1_movies").problem).encode(),
+            method="POST",
+            headers={"x-repro-trace-id": trace_id, "x-repro-span-id": "cd" * 8},
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            assert response.status == 200
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(base + "/nope")
+        excinfo.value.close()
+        assert excinfo.value.code == 404
+        return trace_id
+
+    def test_one_json_line_per_request(self, tmp_path):
+        log = tmp_path / "access.jsonl"
+        service, server, base = self._serve(tmp_path, str(log))
+        try:
+            trace_id = self._requests(base)
+            # Each line lands just after its response is sent: wait for the
+            # third rather than racing the handler thread.
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                if log.exists() and len(log.read_text().splitlines()) >= 3:
+                    break
+                time.sleep(0.01)
+        finally:
+            server.stop()
+            service.stop()
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        # Handler threads append concurrently, so lines need not follow
+        # request order.
+        assert sorted(
+            (r["method"], r["path"], r["status"], r["trace_id"] or "") for r in records
+        ) == [
+            ("GET", "/healthz", 200, ""),
+            ("GET", "/nope", 404, ""),
+            ("POST", "/compose", 200, trace_id),
+        ]
+
+    def test_unwritable_log_is_silenced_without_failing_requests(self, tmp_path):
+        # A directory cannot be opened for append: the first write latches
+        # the sink off and every request is still answered.
+        service, server, base = self._serve(tmp_path, str(tmp_path))
+        try:
+            self._requests(base)
+            assert _get(base + "/healthz")[0] == 200
+        finally:
+            server.stop()
             service.stop()

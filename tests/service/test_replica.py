@@ -48,7 +48,7 @@ def replica_catalog(tmp_path):
 
 @pytest.fixture()
 def primary_server(primary):
-    service = CompositionService(primary, ServiceConfig(micro_batch_wait_seconds=0.0))
+    service = CompositionService(primary, ServiceConfig())
     service.start()
     server = ServiceHTTPServer(service, port=0)
     server.start()
@@ -235,7 +235,7 @@ class TestFollowerHTTP:
         follower = ReplicationFollower(
             catalog, HTTPJournalSource(primary_base), poll_interval_seconds=0.02
         ).start()
-        service = CompositionService(catalog, ServiceConfig(micro_batch_wait_seconds=0.0))
+        service = CompositionService(catalog, ServiceConfig())
         service.start()
         server = ServiceHTTPServer(service, port=0, follower=follower)
         server.start()

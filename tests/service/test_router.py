@@ -39,7 +39,7 @@ class _Stack:
         self.catalog = MappingCatalog(root)
         self.follower = follower
         self.service = CompositionService(
-            self.catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
+            self.catalog, ServiceConfig()
         )
         self.service.start()
         self.server = ServiceHTTPServer(self.service, port=0, follower=follower)
@@ -71,7 +71,7 @@ def follower_stack(primary, tmp_path):
     stack.catalog = catalog
     stack.follower = follower
     stack.service = CompositionService(
-        catalog, ServiceConfig(micro_batch_wait_seconds=0.0)
+        catalog, ServiceConfig()
     )
     stack.service.start()
     stack.server = ServiceHTTPServer(stack.service, port=0, follower=follower)

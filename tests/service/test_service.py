@@ -1,12 +1,16 @@
 """Tests for the concurrent composition service.
 
 The load-bearing guarantee: the service adds scheduling — queueing,
-deduplication, micro-batching, concurrency — but never semantics.  Every
-payload must be byte-identical to calling ``compose`` / ``compose_chain``
-directly, including under concurrent overlapping submissions (the
-acceptance-criterion proof lives in :class:`TestConcurrentClients`).
+deduplication, running each request on the thread that waits for it,
+concurrency — but never semantics.  Every payload must be byte-identical to
+calling ``compose`` / ``compose_chain`` directly, including under concurrent
+overlapping submissions (the acceptance-criterion proof lives in
+:class:`TestConcurrentClients`).  :class:`TestExecutionModel` pins down who
+runs what: the waiting thread, oldest queued work first, under the
+submitter's trace context.
 """
 
+import sys
 import threading
 import time
 
@@ -17,6 +21,7 @@ from repro.catalog import MappingCatalog
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
 from repro.engine import ChainGrower, compose_chain
+from repro.engine import batch as batch_module
 from repro.engine.workloads import WorkloadConfig, generate_workload, pairwise_problems
 from repro.exceptions import (
     ServiceDeadlineError,
@@ -96,7 +101,7 @@ class TestBasics:
             service.submit_chain(())
 
     def test_stop_drains_queue(self, chains):
-        svc = CompositionService(config=ServiceConfig(micro_batch_wait_seconds=0.0))
+        svc = CompositionService(config=ServiceConfig())
         svc.start()
         tickets = [svc.submit_chain(chain) for chain in chains]
         svc.stop()  # drain=True: everything already queued is served
@@ -109,7 +114,7 @@ class TestBasics:
 
 class TestDeduplication:
     def test_identical_requests_coalesce(self, chains):
-        config = ServiceConfig(micro_batch_wait_seconds=0.05, micro_batch_size=64)
+        config = ServiceConfig()
         with CompositionService(config=config) as svc:
             tickets = [svc.submit_chain(chains[0]) for _ in range(20)]
             results = [ticket.result(60) for ticket in tickets]
@@ -274,7 +279,7 @@ class TestBlockingAdmission:
     def test_blocking_identical_results_under_burst(self, chains):
         # A tiny queue with blocking admission: every client eventually gets
         # a byte-identical result — blocking changes timing, never payloads.
-        config = ServiceConfig(max_pending=1, admission="block", micro_batch_size=2)
+        config = ServiceConfig(max_pending=1, admission="block")
         expected = {
             index: _constraints_text(compose_chain(chain))
             for index, chain in enumerate(chains)
@@ -359,9 +364,14 @@ class TestConcurrentClients:
         num_clients = 8
         outcomes = [[] for _ in range(num_clients)]
         errors = []
-        config = ServiceConfig(micro_batch_wait_seconds=0.01, micro_batch_size=32)
+        config = ServiceConfig()
         with CompositionService(config=config) as svc:
             barrier = threading.Barrier(num_clients)
+            # Requests run on the threads that wait for them, and a client
+            # can finish several steps inside one GIL time slice: meeting
+            # here once every first request is queued makes the overlap
+            # the dedup assertion below relies on certain.
+            first_submitted = threading.Barrier(num_clients)
 
             def client(client_index: int) -> None:
                 try:
@@ -373,6 +383,8 @@ class TestConcurrentClients:
                         ticket = svc.submit_chain(chains[chain_index])
                         problem_index = (client_index + step) % len(problems)
                         problem_ticket = svc.submit_problem(problems[problem_index])
+                        if step == 0:
+                            first_submitted.wait(10)
                         outcomes[client_index].append(
                             ("chain", chain_index, ticket.result(120))
                         )
@@ -465,3 +477,143 @@ class TestTracing:
         (names,) = seen_at_delivery
         assert {"service.queue", "service.execute"} <= names
         assert any(name.startswith("compose.phase.") for name in names)
+
+
+@pytest.fixture()
+def composing_threads(monkeypatch):
+    """Record (problem name, thread) for every problem the engine composes."""
+    calls = []
+    direct = batch_module.compose
+
+    def spying_compose(problem, config=None):
+        calls.append((problem.name, threading.current_thread()))
+        return direct(problem, config)
+
+    monkeypatch.setattr(batch_module, "compose", spying_compose)
+    return calls
+
+
+class TestExecutionModel:
+    def test_compositions_run_on_the_calling_thread(self, composing_threads):
+        problem = problem_by_name("example1_movies").problem
+        threads_before = set(threading.enumerate())
+        with CompositionService() as svc:
+            # Without a catalog there is no GC sweep or storage probe, and
+            # no serving thread: starting spawns nothing.
+            assert set(threading.enumerate()) == threads_before
+            svc.compose(problem)
+        assert composing_threads == [(problem.name, threading.current_thread())]
+
+    def test_a_waiter_runs_older_queued_work_first(self, composing_threads):
+        older = problem_by_name("example1_movies").problem
+        newer = problem_by_name("glav_chain").problem
+        with CompositionService() as svc:
+            first = svc.submit_problem(older)
+            second = svc.submit_problem(newer)
+            assert not first.done()  # nothing runs until someone waits
+            second.result(60)
+            assert first.done()
+            assert _constraints_text(first.result(0)) == _constraints_text(compose(older))
+        assert [name for name, _ in composing_threads] == [older.name, newer.name]
+
+    def test_blocked_submitter_runs_the_oldest_item(self, chains):
+        # One thread queues past the bound before waiting on any ticket:
+        # instead of waiting on itself, it frees a slot by running the
+        # oldest queued item.
+        config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=30)
+        with CompositionService(config=config) as svc:
+            tickets = [svc.submit_chain(chain) for chain in chains[:3]]
+            assert [ticket.done() for ticket in tickets] == [True, True, False]
+            results = [ticket.result(60) for ticket in tickets]
+        for chain, result in zip(chains, results):
+            assert _constraints_text(result) == _constraints_text(compose_chain(chain))
+        assert svc.metrics()["requests"]["blocked"] == 2
+
+    def test_spans_follow_the_submitter_into_start(self):
+        problem = problem_by_name("example1_movies").problem
+        obs.configure(service="test", log_path=None)
+        try:
+            svc = CompositionService()
+            with obs.span("client.request", new_trace=True) as handle:
+                trace_id = handle.context.trace_id
+                ticket = svc.submit_problem(problem)
+            svc.start()  # runs the item here, outside any span
+            ticket.result(60)
+            svc.stop()
+            records = obs.recorder().spans(trace_id)
+        finally:
+            obs.configure(service="", log_path=None)
+        parents = {
+            record["name"]: record["parent_id"]
+            for record in records
+            if record["name"] in ("service.queue", "service.execute")
+        }
+        assert parents == {
+            "service.queue": handle.context.span_id,
+            "service.execute": handle.context.span_id,
+        }
+
+    def test_a_traced_waiter_records_only_its_own_execution(self):
+        untraced_problem = problem_by_name("example1_movies").problem
+        traced_problem = problem_by_name("glav_chain").problem
+        obs.configure(service="test", log_path=None)
+        try:
+            with CompositionService() as svc:
+                untraced = svc.submit_problem(untraced_problem)
+                with obs.span("client.request", new_trace=True) as handle:
+                    trace_id = handle.context.trace_id
+                    # Runs the older, untraced item first, then its own.
+                    svc.compose(traced_problem)
+                assert untraced.done()
+            names = [record["name"] for record in obs.recorder().spans(trace_id)]
+        finally:
+            obs.configure(service="", log_path=None)
+        assert names.count("service.execute") == 1
+        assert names.count("service.queue") == 1
+
+    def test_blocking_admission_under_contention(self):
+        # Eight threads, a two-slot queue and a GIL switch on nearly every
+        # bytecode: every submission is admitted before its deadline, every
+        # result is byte-identical, and the books balance.
+        problems = [
+            problem_by_name(name).problem
+            for name in ("example1_movies", "glav_chain", "example3_inclusion_chain")
+        ]
+        expected = [_constraints_text(compose(problem)) for problem in problems]
+        num_threads, calls_per_thread = 8, 12
+        served = [[] for _ in range(num_threads)]
+        errors = []
+        config = ServiceConfig(max_pending=2, admission="block", deadline_seconds=10)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with CompositionService(config=config) as svc:
+
+                def client(index: int) -> None:
+                    try:
+                        for step in range(calls_per_thread):
+                            which = (index + step) % len(problems)
+                            result = svc.compose(problems[which], timeout=60)
+                            served[index].append((which, _constraints_text(result)))
+                    except Exception as exc:  # noqa: BLE001 - surface in the main thread
+                        errors.append(exc)
+
+                threads = [
+                    threading.Thread(target=client, args=(index,))
+                    for index in range(num_threads)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                requests = svc.metrics()["requests"]
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not errors
+        for per_thread in served:
+            assert len(per_thread) == calls_per_thread
+            assert all(text == expected[which] for which, text in per_thread)
+        assert requests["submitted"] == num_threads * calls_per_thread
+        assert requests["completed"] + requests["deduplicated"] == requests["submitted"]
+        assert requests["pending"] == requests["in_flight"] == 0

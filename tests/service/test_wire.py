@@ -24,7 +24,7 @@ _SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
 @pytest.fixture()
 def service(tmp_path):
     service = CompositionService(
-        MappingCatalog(tmp_path / "root"), ServiceConfig(micro_batch_wait_seconds=0.0)
+        MappingCatalog(tmp_path / "root"), ServiceConfig()
     )
     service.start()
     yield service
@@ -178,7 +178,7 @@ class TestPersistentConnections:
     def test_router_opens_one_connection_per_backend(self, service, tmp_path):
         primary = ServiceHTTPServer(service, port=0).start()
         second = CompositionService(
-            MappingCatalog(tmp_path / "second"), ServiceConfig(micro_batch_wait_seconds=0.0)
+            MappingCatalog(tmp_path / "second"), ServiceConfig()
         )
         second.start()
         secondary = ServiceHTTPServer(second, port=0).start()

@@ -136,12 +136,15 @@ class TestCatalogGCCommand:
 
 class TestServeOptions:
     def test_serve_offers_no_pool_flags(self, root, capsys):
-        # Batches always run in-process, so nothing selects or sizes a pool.
+        # Batches always run in-process and each request runs on the thread
+        # that waits for it, so nothing selects or sizes a pool or a batch.
         with pytest.raises(SystemExit) as exited:
             main(["--root", root, "serve", "--help"])
         assert exited.value.code == 0
         usage = capsys.readouterr().out
-        assert "--micro-batch-size" in usage
+        assert "--max-pending" in usage
+        assert "--micro-batch-size" not in usage
+        assert "--micro-batch-wait" not in usage
         assert "--backend" not in usage
         assert "--max-workers" not in usage
         with pytest.raises(SystemExit) as exited:
@@ -159,7 +162,7 @@ class TestMetricsCommand:
         )
 
         service = CompositionService(
-            MappingCatalog(tmp_path / "root"), ServiceConfig(micro_batch_wait_seconds=0.0)
+            MappingCatalog(tmp_path / "root"), ServiceConfig()
         )
         service.start()
         server = ServiceHTTPServer(service, port=0).start()
