@@ -11,6 +11,11 @@ reported but not gated.  What is gated:
 * **structural metrics must match exactly** — operator counts and eliminated
   fractions are deterministic, so any drift means the algorithm's outputs
   changed;
+* **work counts must match exactly** — the engine benchmark counts nodes
+  summarized, substitution walks, simplify walks and constraint sets built
+  on its acceptance workload; the counts repeat exactly across runs and
+  hash seeds, so a drift means the engine's work changed (refresh the
+  baseline when a change means to);
 * **scale-free ratios must not regress by more than 25%** — the batch-
   vs-serial speedup and the cache hit rate compare two measurements taken on
   the same machine in the same process, so they are stable across hosts.
@@ -32,7 +37,14 @@ EXACT_METRICS = {
         "fractions_no_right_compose",
     ),
     "figure7": ("fractions",),
-    "engine_chain_batch": ("output_operator_count", "problems"),
+    "engine_chain_batch": (
+        "output_operator_count",
+        "problems",
+        "nodes_summarized",
+        "substitution_walks",
+        "simplify_walks",
+        "constraint_sets_built",
+    ),
     "engine_partitioned": (
         "problems",
         "components_per_problem",

@@ -6,17 +6,19 @@ engine must (a) complete the whole batch with zero crashes and (b) beat a
 naive per-problem loop for the same workload.
 
 The engine's edge on a single CPU comes from the shared expression cache:
-repeated sub-expressions across hops and problems are simplified once and
-symbol-mention probes become memo lookups.  The engine runs every job
-in-process and in order, so the comparison measures exactly that,
-independent of the host's core count.  Because both contenders are
+repeated sub-expressions across hops and problems are simplified once.  The
+engine runs every job in-process and in order, so the comparison measures
+exactly that, independent of the host's core count.  Because both contenders are
 single-threaded in-process loops, the win is *asserted* on process CPU time — immune to other processes
 stealing the core on busy 1-CPU runners, where the few-percent wall margin
 drowns in scheduler noise — while wall-clock is still measured and recorded.
 """
 
 import time
+from contextlib import contextmanager
 
+from repro.algebra import simplify, summary, traversal
+from repro.constraints.constraint_set import ConstraintSet
 from repro.engine import (
     BatchComposer,
     BatchConfig,
@@ -50,6 +52,52 @@ def _best_of_interleaved(fns, rounds=9):
         (min(wall_series), min(cpu_series), result)
         for wall_series, cpu_series, result in zip(wall, cpu, results)
     ]
+
+
+@contextmanager
+def _counting_work():
+    """Count the engine's units of work while the block runs.
+
+    Wraps, for the duration of the block only, the functions that do one
+    unit each: a node summarized (a leaf summary or a combined one), a
+    substitution walk, a simplify walk and a constraint set built.  The
+    wrappers live here, so the library carries no counters; the counts are
+    deterministic for a given workload, so they are gated exactly.
+    """
+    counts = dict.fromkeys(
+        (
+            "nodes_summarized",
+            "substitution_walks",
+            "simplify_walks",
+            "constraint_sets_built",
+        ),
+        0,
+    )
+    targets = (
+        (summary, "_leaf_summary", "nodes_summarized"),
+        (summary, "_combine", "nodes_summarized"),
+        (traversal, "_substitute", "substitution_walks"),
+        (simplify, "_simplify_dag", "simplify_walks"),
+        (ConstraintSet, "__init__", "constraint_sets_built"),
+    )
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = []
+    for owner, name, key in targets:
+        fn = getattr(owner, name)
+        originals.append((owner, name, fn))
+        setattr(owner, name, counted(fn, key))
+    try:
+        yield counts
+    finally:
+        for owner, name, fn in originals:
+            setattr(owner, name, fn)
 
 
 def _acceptance_workload(seed):
@@ -110,8 +158,14 @@ def test_bench_engine_batch_beats_serial(benchmark, bench_params, bench_record):
         assert serial_result.constraints == item.result.constraints
         assert serial_result.residual_symbols == item.result.residual_symbols
 
+    # The work counts come from one more batch, untimed and on a fresh
+    # composer, so the wrappers never sit inside a timed window.
+    with _counting_work() as work:
+        BatchComposer(BatchConfig(share_checkpoints=False)).run_chains(workload)
+
     bench_record(
         "engine_chain_batch",
+        **work,
         serial_seconds=round(serial_seconds, 4),
         batch_seconds=round(batch_seconds, 4),
         serial_cpu_seconds=round(serial_cpu, 4),

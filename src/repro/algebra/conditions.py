@@ -92,9 +92,18 @@ class Condition:
         return Not(self)
 
     def max_index(self) -> int:
-        """Return the largest referenced index, or ``-1`` if none."""
-        refs = self.referenced_indices()
-        return max(refs) if refs else -1
+        """Return the largest referenced index, or ``-1`` if none.
+
+        Every selection and join node built over the condition validates
+        against it, so it is computed once and cached on the (immutable)
+        condition.
+        """
+        value = getattr(self, "_max_index", None)
+        if value is None:
+            refs = self.referenced_indices()
+            value = max(refs) if refs else -1
+            object.__setattr__(self, "_max_index", value)
+        return value
 
 
 @dataclass(frozen=True)

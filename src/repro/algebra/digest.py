@@ -28,32 +28,42 @@ DIGEST_SIZE = 16
 
 
 def _node_digest(node: Expression, children: tuple) -> bytes:
-    h = blake2b(digest_size=DIGEST_SIZE)
-    h.update(node.__class__.__qualname__.encode())
-    getter = _PAYLOAD_GETTERS.get(node.__class__, _NO_GETTER)
+    cls = node.__class__
+    getter = _PAYLOAD_GETTERS.get(cls, _NO_GETTER)
     if getter is _NO_GETTER:
         # A user-defined operator type outside the structural-equality
         # machinery: fall back to its repr, mirroring the __eq__ fallback.
-        h.update(repr(node).encode())
+        payload = repr(node).encode()
     elif getter is not None:
-        h.update(repr(getter(node)).encode())
-    h.update(b"|%d|" % len(children))
-    for child in children:
-        h.update(child._digest)
-    return h.digest()
+        payload = repr(getter(node)).encode()
+    else:
+        payload = b""
+    parts = [cls.__qualname__.encode(), payload, b"|%d|" % len(children)]
+    parts.extend(child._digest for child in children)
+    # One call over the concatenation: BLAKE2b is a streaming hash, so this is
+    # the same digest as updating with each part in turn.
+    return blake2b(b"".join(parts), digest_size=DIGEST_SIZE).digest()
 
 
 def expression_digest(expression: Expression) -> bytes:
     """Return the cached deterministic digest of ``expression``, computing it once.
 
-    The walk is iterative (explicit stack), so the deep operator chains
-    normalization produces are safe, and a subtree reached twice is digested
-    once.
+    A node whose children are all digested already is digested directly.
+    Otherwise the walk is iterative (explicit stack), so the deep operator
+    chains normalization produces are safe, and a subtree reached twice is
+    digested once.
     """
-    try:
-        return expression._digest
-    except AttributeError:
-        pass
+    value = getattr(expression, "_digest", None)
+    if value is not None:
+        return value
+    children = expression.children
+    for child in children:
+        if getattr(child, "_digest", None) is None:
+            break
+    else:
+        value = _node_digest(expression, children)
+        object.__setattr__(expression, "_digest", value)
+        return value
 
     setattr_ = object.__setattr__
     stack = [(expression, False)]

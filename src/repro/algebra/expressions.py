@@ -373,12 +373,15 @@ class Projection(Expression):
             raise ExpressionError(f"projection child must be an Expression, got {self.child!r}")
         if not self.indices:
             raise ArityError("projection must keep at least one column")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        for index in self.indices:
-            if index < 0 or index >= self.child.arity:
-                raise ArityError(
-                    f"projection index {index} out of range for input arity {self.child.arity}"
-                )
+        indices = tuple(map(int, self.indices))
+        object.__setattr__(self, "indices", indices)
+        arity = self.child.arity
+        if min(indices) < 0 or max(indices) >= arity:
+            for index in indices:
+                if index < 0 or index >= arity:
+                    raise ArityError(
+                        f"projection index {index} out of range for input arity {arity}"
+                    )
 
     @property
     def arity(self) -> int:

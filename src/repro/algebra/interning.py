@@ -11,18 +11,18 @@ chain hop, and — via the batch engine — many problems.  An
   objects themselves carry the result, there is no growing table to probe,
   insert into, or garbage-collect, and a shared subtree is simplified exactly
   once per process instead of once per occurrence per fixpoint pass;
-* **substitution memoization**: substituting the same bound for the same
-  symbol across many large constraints (what basic left/right compose and
-  view unfolding do) replays per-subtree results instead of re-walking.
+* **failure memos**: the ``(constraint, symbol)`` pairs known to fail a
+  normalization or monotonicity gate, so the best-effort retries across chain
+  hops skip dead ends they already met.
 
 The cache is *opt-in*: nothing changes unless a cache is activated, either
 explicitly or through the batch engine (:mod:`repro.engine.batch`), which
 shares one cache across a whole batch of composition problems so repeated
 sub-expressions are simplified once.
 
-Caches are safe to share between threads — CPython dictionary operations are
-atomic and tokens and substitution memoization are both idempotent,
-so a lost race merely repeats work.  Activation is process-global (not
+Caches are safe to share between threads — CPython dictionary and set
+operations are atomic and tokens and failure memos are both idempotent, so a
+lost race merely repeats work.  Activation is process-global (not
 thread-local) because sharing across worker threads is exactly the point.
 """
 
@@ -30,10 +30,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
-
-from repro.algebra.expressions import Expression
-from repro.algebra.summary import node_summary
+from typing import Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "ExpressionCache",
@@ -68,10 +65,6 @@ class ExpressionCache:
         self._constraint_tokens: Dict[Tuple[int, int], object] = {}
         #: (kind, registry key, registry version) -> {(constraint, symbol)}
         self._failure_memos: Dict[Tuple, set] = {}
-        #: (symbol, replacement) -> {subtree -> substituted subtree}
-        self._substitution_memos: Dict[
-            Tuple[str, Expression], Dict[Expression, Expression]
-        ] = {}
         # Strong references keep registry ids stable for the memo keys.
         self._registries: Dict[int, object] = {}
         self._lock = threading.Lock()
@@ -145,28 +138,6 @@ class ExpressionCache:
             self._evict(memo)
         return memo
 
-    def substitution_memo(
-        self, name: str, replacement: Expression
-    ) -> Dict[Expression, Expression]:
-        """The per-subtree memo for substituting ``replacement`` for ``name``."""
-        key = (name, replacement)
-        memo = self._substitution_memos.get(key)
-        if memo is None:
-            if len(self._substitution_memos) >= self.max_entries:
-                self._evict(self._substitution_memos)
-            memo = self._substitution_memos.setdefault(key, {})
-        elif len(memo) >= self.max_entries:
-            # The inner per-subtree table is bounded too, not just the
-            # (symbol, replacement) index above it.
-            self._evict(memo)
-        return memo
-
-    # -- relation-name memo ----------------------------------------------------
-
-    def relation_names(self, expression: Expression) -> FrozenSet[str]:
-        """The base relation symbols of ``expression`` (from the cached summary)."""
-        return node_summary(expression).relation_names
-
     #: Distinct registries a cache will pin before resetting its token
     #: tables.  Tokens key registries by id(), so dropping a registry
     #: reference without dropping its tokens could alias a recycled id onto a
@@ -204,7 +175,6 @@ class ExpressionCache:
             self._simplify_tokens.clear()
             self._constraint_tokens.clear()
             self._failure_memos.clear()
-            self._substitution_memos.clear()
             self._registries.clear()
             self.hits = self.misses = self.evictions = 0
 
@@ -221,7 +191,6 @@ class ExpressionCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,
-            "memoized": sum(len(memo) for memo in self._substitution_memos.values()),
         }
 
     def __repr__(self) -> str:

@@ -23,7 +23,8 @@ registry; the functions here accept an optional registry for that purpose.
 
 from __future__ import annotations
 
-from typing import Optional
+from operator import is_not
+from typing import Dict, List, Optional
 
 from repro.algebra import interning
 from repro.algebra.conditions import FalseCondition, TrueCondition, conjunction
@@ -64,63 +65,99 @@ def _is_empty(expression: Expression) -> bool:
     return isinstance(expression, Empty)
 
 
+def _simplify_union(node: Union) -> Optional[Expression]:
+    left, right = node.left, node.right
+    if _is_full_domain(left) or _is_full_domain(right):
+        return Domain(node.arity)
+    if _is_empty(left):
+        return right
+    if _is_empty(right):
+        return left
+    if left == right:
+        return left
+    return None
+
+
+def _simplify_intersection(node: Intersection) -> Optional[Expression]:
+    left, right = node.left, node.right
+    if _is_full_domain(left):
+        return right
+    if _is_full_domain(right):
+        return left
+    if _is_empty(left) or _is_empty(right):
+        return Empty(node.arity)
+    if left == right:
+        return left
+    return None
+
+
+def _simplify_difference(node: Difference) -> Optional[Expression]:
+    left, right = node.left, node.right
+    if _is_full_domain(right):
+        return Empty(node.arity)
+    if _is_empty(right):
+        return left
+    if _is_empty(left) or left == right:
+        return Empty(node.arity)
+    return None
+
+
+def _simplify_product(node: CrossProduct) -> Optional[Expression]:
+    left, right = node.left, node.right
+    if _is_empty(left) or _is_empty(right):
+        return Empty(node.arity)
+    if _is_full_domain(left) and _is_full_domain(right):
+        return Domain(node.arity)
+    return None
+
+
+def _simplify_selection(node: Selection) -> Optional[Expression]:
+    child, condition = node.child, node.condition
+    if _is_empty(child):
+        return Empty(node.arity)
+    if isinstance(condition, TrueCondition):
+        return child
+    if isinstance(condition, FalseCondition):
+        return Empty(node.arity)
+    if isinstance(child, Selection):
+        return Selection(child.child, conjunction([child.condition, condition]))
+    return None
+
+
+def _simplify_projection(node: Projection) -> Optional[Expression]:
+    child, indices = node.child, node.indices
+    if _is_empty(child):
+        return Empty(node.arity)
+    if _is_full_domain(child) and len(set(indices)) == len(indices):
+        # π_I(D^r) = D^{|I|} requires distinct indices: with duplicates the
+        # result is a diagonal, a strict subset of D^{|I|}.
+        return Domain(node.arity)
+    if indices == tuple(range(child.arity)):
+        return child
+    if isinstance(child, Projection):
+        return Projection(child.child, tuple(child.indices[i] for i in indices))
+    return None
+
+
+#: The built-in local rules, by exact node class (the operator registry looks
+#: up user rules the same way).
+_LOCAL_RULES = {
+    Union: _simplify_union,
+    Intersection: _simplify_intersection,
+    Difference: _simplify_difference,
+    CrossProduct: _simplify_product,
+    Selection: _simplify_selection,
+    Projection: _simplify_projection,
+}
+
+
 def _simplify_node(node: Expression, registry=None) -> Expression:
     """Apply one round of local rewrite rules to a node whose children are simplified."""
-    if isinstance(node, Union):
-        if _is_full_domain(node.left) or _is_full_domain(node.right):
-            return Domain(node.arity)
-        if _is_empty(node.left):
-            return node.right
-        if _is_empty(node.right):
-            return node.left
-        if node.left == node.right:
-            return node.left
-    elif isinstance(node, Intersection):
-        if _is_full_domain(node.left):
-            return node.right
-        if _is_full_domain(node.right):
-            return node.left
-        if _is_empty(node.left) or _is_empty(node.right):
-            return Empty(node.arity)
-        if node.left == node.right:
-            return node.left
-    elif isinstance(node, Difference):
-        if _is_full_domain(node.right):
-            return Empty(node.arity)
-        if _is_empty(node.right):
-            return node.left
-        if _is_empty(node.left):
-            return Empty(node.arity)
-        if node.left == node.right:
-            return Empty(node.arity)
-    elif isinstance(node, CrossProduct):
-        if _is_empty(node.left) or _is_empty(node.right):
-            return Empty(node.arity)
-        if _is_full_domain(node.left) and _is_full_domain(node.right):
-            return Domain(node.arity)
-    elif isinstance(node, Selection):
-        if _is_empty(node.child):
-            return Empty(node.arity)
-        if isinstance(node.condition, TrueCondition):
-            return node.child
-        if isinstance(node.condition, FalseCondition):
-            return Empty(node.arity)
-        if isinstance(node.child, Selection):
-            merged = conjunction([node.child.condition, node.condition])
-            return Selection(node.child.child, merged)
-    elif isinstance(node, Projection):
-        if _is_empty(node.child):
-            return Empty(node.arity)
-        if _is_full_domain(node.child) and len(set(node.indices)) == len(node.indices):
-            # π_I(D^r) = D^{|I|} requires distinct indices: with duplicates the
-            # result is a diagonal, a strict subset of D^{|I|}.
-            return Domain(node.arity)
-        if node.indices == tuple(range(node.child.arity)):
-            return node.child
-        if isinstance(node.child, Projection):
-            inner = node.child
-            composed = tuple(inner.indices[i] for i in node.indices)
-            return Projection(inner.child, composed)
+    rule = _LOCAL_RULES.get(node.__class__)
+    if rule is not None:
+        rewritten = rule(node)
+        if rewritten is not None:
+            return rewritten
     if registry is not None:
         rewritten = registry.simplify_node(node)
         if rewritten is not None:
@@ -128,75 +165,81 @@ def _simplify_node(node: Expression, registry=None) -> Expression:
     return node
 
 
-#: Work-stack frame kinds of the iterative DAG rewriter.
+#: Work-stack frame kinds of the iterative DAG rewriter.  A COMBINE frame
+#: carries the node's children, an ALIAS frame the nodes to alias.
 _VISIT, _COMBINE, _ALIAS = 0, 1, 2
 
 
-def _simplify_dag(root: Expression, registry, memo) -> Expression:
+def _simplify_dag(root: Expression, registry) -> Expression:
     """Simplify ``root`` in one bottom-up pass over the shared expression DAG.
 
-    ``memo`` maps every unique subtree already processed to its fully
-    simplified form, so a shared subtree is simplified exactly once per pass —
-    not once per occurrence per fixpoint pass (the caller decides whether the
-    table is per-call or persistent).  The traversal is iterative (explicit
-    stack), so arbitrarily deep Union/Intersection chains are safe.
+    The per-call memo maps every subtree object already processed to its fully
+    simplified form, so a subtree shared by several parents is simplified
+    exactly once per pass — not once per occurrence per fixpoint pass.  The
+    traversal is iterative (explicit stack), so arbitrarily deep
+    Union/Intersection chains are safe.
 
     At each node the children are simplified first, then the local rules are
     applied; when a rule fires, its (possibly brand-new) result is routed back
     through the same pipeline until it is stable, which reproduces the old
     whole-tree fixpoint exactly — the built-in rules only ever shrink the tree,
-    so the loop terminates.  Change detection is ``is``-identity: interning
-    collapses structurally equal subtrees onto one object, so "nothing
+    so the loop terminates.  Change detection is ``is``-identity, so "nothing
     changed" never requires a deep comparison.
+
+    The memo is keyed by ``id()``, as in
+    :func:`~repro.algebra.traversal.transform_bottom_up`, which keeps probes
+    free of hashing.  An id names an object only while it is alive, so every
+    node the call builds and keys is kept in ``built`` until the call returns.
     """
-    node_summary(root)  # warm summaries + hashes so memo probes stay shallow
+    node_summary(root)  # warm summaries + hashes so rebuilt nodes combine shallowly
+    memo: Dict[int, Expression] = {}
+    built: List[Expression] = []
     stack = [(_VISIT, root, None)]
     while stack:
         kind, node, payload = stack.pop()
         if kind == _ALIAS:
             # ``node`` (a rewritten form) is simplified by now; alias its
             # sources onto the final result.
-            result = memo[node]
+            result = memo[id(node)]
             for source in payload:
-                memo[source] = result
+                memo[id(source)] = result
             continue
-        if node in memo:
+        if id(node) in memo:
             continue
-        children = node.children
-        if kind == _VISIT and children:
-            stack.append((_COMBINE, node, None))
-            for child in children:
-                if child not in memo:
-                    stack.append((_VISIT, child, None))
-            continue
+        if kind == _VISIT:
+            children = node.children
+            if children:
+                stack.append((_COMBINE, node, children))
+                for child in children:
+                    if id(child) not in memo:
+                        stack.append((_VISIT, child, None))
+                continue
+        else:
+            children = payload
         # Combine: children (if any) are simplified; rebuild and rewrite.
         candidate = node
         if children:
-            new_children = tuple(memo[child] for child in children)
-            if any(new is not old for new, old in zip(new_children, children)):
+            new_children = tuple([memo[id(child)] for child in children])
+            if any(map(is_not, new_children, children)):
                 candidate = node.with_children(new_children)
-        if candidate is not node:
-            node_summary(candidate)
-            done = memo.get(candidate)
-            if done is not None:
-                memo[node] = done
-                continue
+                node_summary(candidate)
+                built.append(candidate)
         rewritten = _simplify_node(candidate, registry)
         if rewritten is candidate or rewritten == candidate:
-            memo[node] = candidate
-            memo[candidate] = candidate
+            memo[id(node)] = candidate
+            memo[id(candidate)] = candidate
             continue
         node_summary(rewritten)
-        done = memo.get(rewritten)
+        done = memo.get(id(rewritten))
         if done is not None:
-            memo[node] = done
-            if candidate is not node:
-                memo[candidate] = done
+            memo[id(node)] = done
+            memo[id(candidate)] = done
             continue
+        built.append(rewritten)
         sources = (node, candidate) if candidate is not node else (node,)
         stack.append((_ALIAS, rewritten, sources))
         stack.append((_VISIT, rewritten, None))
-    return memo[root]
+    return memo[id(root)]
 
 
 def simplify_expression(expression: Expression, registry=None) -> Expression:
@@ -223,10 +266,10 @@ def simplify_expression(expression: Expression, registry=None) -> Expression:
             cache.hits += 1
             return expression
         cache.misses += 1
-        result = _simplify_dag(expression, registry, {})
+        result = _simplify_dag(expression, registry)
         object.__setattr__(result, "_simplified_for", token)
         return result
-    return _simplify_dag(expression, registry, {})
+    return _simplify_dag(expression, registry)
 
 
 def is_trivially_satisfied(constraint: Constraint) -> bool:

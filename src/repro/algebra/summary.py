@@ -63,18 +63,37 @@ def _leaf_summary(node: Expression) -> NodeSummary:
 
 
 def _combine(node: Expression, children: tuple) -> NodeSummary:
+    """Summarize ``node`` from its children's summaries.
+
+    Every built-in operator has one or two children, and a rebuilt node pays
+    for this call, so those two shapes are spelled out; other arities take
+    the general loop.
+    """
+    skolem = isinstance(node, SkolemApplication)
+    if len(children) == 1:
+        ops, nodes, depth, names, child_skolem, domain, empty = children[0]._summary
+        return NodeSummary(
+            ops + 1, nodes + 1, depth + 1, names, skolem or child_skolem, domain, empty
+        )
+    if len(children) == 2:
+        l_ops, l_nodes, l_depth, l_names, l_skolem, l_domain, l_empty = children[0]._summary
+        r_ops, r_nodes, r_depth, r_names, r_skolem, r_domain, r_empty = children[1]._summary
+        return NodeSummary(
+            l_ops + r_ops + 1,
+            l_nodes + r_nodes + 1,
+            (l_depth if l_depth > r_depth else r_depth) + 1,
+            l_names | r_names,
+            skolem or l_skolem or r_skolem,
+            l_domain or r_domain,
+            l_empty or r_empty,
+        )
     summaries = [child._summary for child in children]
-    if len(summaries) == 1:
-        names = summaries[0].relation_names
-    else:
-        names = frozenset().union(*(s.relation_names for s in summaries))
     return NodeSummary(
         operator_count=1 + sum(s.operator_count for s in summaries),
         node_count=1 + sum(s.node_count for s in summaries),
         depth=1 + max(s.depth for s in summaries),
-        relation_names=names,
-        contains_skolem=isinstance(node, SkolemApplication)
-        or any(s.contains_skolem for s in summaries),
+        relation_names=frozenset().union(*(s.relation_names for s in summaries)),
+        contains_skolem=skolem or any(s.contains_skolem for s in summaries),
         contains_domain=any(s.contains_domain for s in summaries),
         contains_empty=any(s.contains_empty for s in summaries),
     )
@@ -83,15 +102,25 @@ def _combine(node: Expression, children: tuple) -> NodeSummary:
 def node_summary(expression: Expression) -> NodeSummary:
     """Return the cached :class:`NodeSummary` of ``expression``, computing it once.
 
-    The computation is iterative (explicit stack), shares work across DAG-shaped
-    trees (a subtree reached twice is summarized once), and warms the cached
-    structural hash of every node it visits so later dictionary operations never
-    recurse through the tree.
+    A node whose children are all summarized already (every node a rewrite
+    rebuilds) is summarized directly.  Otherwise the computation is iterative
+    (explicit stack), shares work across DAG-shaped trees (a subtree reached
+    twice is summarized once), and warms the cached structural hash of every
+    node it visits so later dictionary operations never recurse through the
+    tree.
     """
-    try:
-        return expression._summary
-    except AttributeError:
-        pass
+    summary = getattr(expression, "_summary", None)
+    if summary is not None:
+        return summary
+    children = expression.children
+    for child in children:
+        if getattr(child, "_summary", None) is None:
+            break
+    else:
+        summary = _combine(expression, children) if children else _leaf_summary(expression)
+        object.__setattr__(expression, "_summary", summary)
+        hash(expression)
+        return summary
 
     setattr_ = object.__setattr__
     stack = [(expression, False)]

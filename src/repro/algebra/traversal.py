@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterator, Set
 
-from repro.algebra import interning
 from repro.algebra.expressions import (
     Expression,
     Relation,
@@ -96,7 +95,6 @@ def _substitute(
     expression: Expression,
     matches: Callable[[Relation], "Expression | None"],
     targets: FrozenSet[str],
-    memo: Dict[Expression, Expression],
 ) -> Expression:
     """Shared iterative engine of the relation-substitution helpers.
 
@@ -104,15 +102,17 @@ def _substitute(
     ``targets`` is the set of symbol names being replaced.  The walk descends
     *only* into children whose cached summary mentions a target symbol, so the
     cost is proportional to the paths leading to actual occurrences, not to
-    the whole tree.  ``memo`` maps rewritten subtrees to their results;
-    summaries (and therefore node hashes) are warmed on entry and maintained
-    for rebuilt nodes, so the structural keying never deep-recurses and the
+    the whole tree.  The per-call memo is keyed by ``id()``, as in
+    :func:`transform_bottom_up`: every key is a node of the input tree, which
+    stays alive for the whole call, and a subtree shared by several parents is
+    rewritten once.  Summaries are maintained for rebuilt nodes, so the
     substituted tree comes out pre-summarized.
 
     Precondition: ``expression``'s (and the replacements') summaries are warm
     and ``expression`` mentions at least one target.
     """
     target = next(iter(targets)) if len(targets) == 1 else None
+    memo: Dict[int, Expression] = {}
     stack = [(expression, False)]
     push = stack.append
     pop = stack.pop
@@ -122,41 +122,35 @@ def _substitute(
             # At least one child mentioned a target, so the rebuild always
             # changes the node; pruned children fall back to themselves.
             rebuilt = node.with_children(
-                tuple(memo.get(child, child) for child in node.children)
+                tuple([memo.get(id(child), child) for child in node.children])
             )
             node_summary(rebuilt)
-            memo[node] = rebuilt
+            memo[id(node)] = rebuilt
             continue
-        if node in memo:
+        if id(node) in memo:
             continue
         if isinstance(node, Relation):
             replacement = matches(node)
             if replacement is None:
-                memo[node] = node
+                memo[id(node)] = node
             else:
                 if replacement.arity != node.arity:
                     raise ArityError(
                         f"cannot substitute relation {node.name!r} of arity {node.arity} "
                         f"with an expression of arity {replacement.arity}"
                     )
-                memo[node] = replacement
+                memo[id(node)] = replacement
             continue
         push((node, True))
         if target is not None:
             for child in node.children:
-                if target in child._summary.relation_names and child not in memo:
+                if target in child._summary.relation_names and id(child) not in memo:
                     push((child, False))
         else:
             for child in node.children:
-                if targets & child._summary.relation_names and child not in memo:
+                if targets & child._summary.relation_names and id(child) not in memo:
                     push((child, False))
-    return memo[expression]
-
-
-#: Trees below this node count are substituted with a throwaway memo — for
-#: them, probing the cache's persistent per-(symbol, replacement) table costs
-#: more than the walk itself.
-_SUBSTITUTION_MEMO_THRESHOLD = 32
+    return memo[id(expression)]
 
 
 def substitute_relation(
@@ -178,30 +172,14 @@ def substitute_relation(
                 f"with an expression of arity {replacement.arity}"
             )
         return replacement
-    summary = node_summary(expression)
-    if name not in summary.relation_names:
+    if name not in node_summary(expression).relation_names:
         return expression
     node_summary(replacement)  # rebuilt nodes combine child summaries shallowly
-    shared = None
-    if summary.node_count >= _SUBSTITUTION_MEMO_THRESHOLD:
-        cache = interning.active_cache()
-        if cache is not None:
-            shared = cache.substitution_memo(name, replacement)
-            cached = shared.get(expression)
-            if cached is not None:
-                return cached
-    # The walk always runs on a private memo — the shared table may be
-    # evicted (cleared) by another thread at any time, so it is only probed
-    # and published at whole-expression granularity.
-    result = _substitute(
+    return _substitute(
         expression,
         lambda node: replacement if node.name == name else None,
         frozenset((name,)),
-        {},
     )
-    if shared is not None:
-        shared[expression] = result
-    return result
 
 
 def substitute_relations(
@@ -213,7 +191,7 @@ def substitute_relations(
         return expression
     for replacement in replacements.values():
         node_summary(replacement)
-    return _substitute(expression, lambda node: replacements.get(node.name), targets, {})
+    return _substitute(expression, lambda node: replacements.get(node.name), targets)
 
 
 def contains_relation(expression: Expression, name: str) -> bool:

@@ -10,7 +10,6 @@ constraint set over σ1 ∪ σ2' ∪ σ3 for some σ2' ⊆ σ2 (paper Section 3.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import List, Optional
 
 from repro.algebra.interning import ExpressionCache, shared_expression_cache
@@ -76,7 +75,6 @@ def compose(
     eliminated: List[str] = []
     with collect_phases() as phase_buckets:
         for symbol in symbol_order:
-            symbol_started = time.perf_counter()
             constraints, outcome = eliminate(
                 constraints,
                 symbol,
@@ -84,13 +82,9 @@ def compose(
                 config,
                 baseline_operator_count=input_operator_count,
             )
-            # Record the per-symbol elapsed time as COMPOSE observes it, so the
-            # outcomes' durations add up to the whole-run elapsed_seconds (minus
-            # the final simplification pass); the same measurement feeds the
-            # "eliminate" phase bucket.
-            symbol_seconds = time.perf_counter() - symbol_started
-            charge("eliminate", symbol_seconds)
-            outcome = replace(outcome, duration_seconds=symbol_seconds)
+            # ELIMINATE's own clock is the per-symbol time: it is recorded on
+            # the outcome and feeds the "eliminate" phase bucket.
+            charge("eliminate", outcome.duration_seconds)
             outcomes.append(outcome)
             if outcome.success:
                 eliminated.append(symbol)

@@ -11,7 +11,9 @@ index: a symbol absent from the set drops for free, view unfolding requires an
 *equality* mentioning the symbol (a defining equality necessarily is one), and
 a constraint mentioning the symbol on both sides defeats left and right
 compose before any normalization runs — each skip records the same failure
-reason the full attempt would have produced, so outcomes are unchanged.
+reason the full attempt would have produced, so outcomes are unchanged.  The
+positions of the mentioning constraints are looked up once per step and
+shared by these checks and by view unfolding.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ def eliminate(
 
     Returns ``(new_constraints, outcome)``.  On failure the constraints are
     returned unchanged and the outcome explains which steps were attempted.
+    The outcome's ``duration_seconds`` is the wall-clock time of this call,
+    the one clock COMPOSE reads per symbol.
     """
+    started = time.perf_counter()
     config = config or ComposerConfig()
     registry = config.registry
     baseline = (
@@ -60,7 +65,6 @@ def eliminate(
         if baseline_operator_count is not None
         else constraints.operator_count()
     )
-    started = time.perf_counter()
     reasons = []
     blowup_aborted = False
 
@@ -75,32 +79,21 @@ def eliminate(
         )
         return result, outcome
 
-    mentioning = constraints.constraints_mentioning(symbol)
-    if not mentioning:
+    positions = constraints.indices_mentioning(symbol)
+    if not positions:
         # Nothing mentions the symbol: dropping it from the signature is free.
         return finish(constraints, EliminationMethod.NOT_MENTIONED)
 
-    # Mention-index pre-checks.  A defining equality is necessarily an
-    # equality mentioning the symbol, so without one view unfolding cannot
-    # apply; a constraint mentioning the symbol on both sides makes both
-    # left and right compose exit in their step 0.  Each skip appends the
-    # exact reason the full attempt would have produced, keeping outcomes
-    # byte-identical to the unshortened path.
-    mentions_in_equality = any(
-        isinstance(constraint, EqualityConstraint) for constraint in mentioning
-    )
-    mentions_both_sides = any(
-        constraint.mentions_on_left(symbol) and constraint.mentions_on_right(symbol)
-        for constraint in mentioning
-    )
-
-    # Step 1: view unfolding.
+    # Step 1: view unfolding.  A defining equality is necessarily an equality
+    # mentioning the symbol, so without one the step cannot apply; the skip
+    # appends the exact reason the full attempt would have produced, keeping
+    # outcomes byte-identical to the unshortened path.
     if config.enable_view_unfolding:
-        if not mentions_in_equality:
+        if not any(isinstance(constraints[p], EqualityConstraint) for p in positions):
             reasons.append("no defining equality for view unfolding")
         else:
             with timed("view_unfolding"):
-                candidate = unfold_view(constraints, symbol)
+                candidate = unfold_view(constraints, symbol, positions)
             if candidate is not None:
                 if _within_blowup(candidate, baseline, config):
                     return finish(candidate, EliminationMethod.VIEW_UNFOLDING)
@@ -110,6 +103,14 @@ def eliminate(
                 reasons.append("no defining equality for view unfolding")
     else:
         reasons.append("view unfolding disabled")
+
+    # View unfolding did not eliminate the symbol.  A constraint mentioning
+    # it on both sides makes left and right compose exit in their step 0, so
+    # both are skipped with the reasons they would have recorded.
+    mentions_both_sides = any(
+        constraints[p].mentions_on_left(symbol) and constraints[p].mentions_on_right(symbol)
+        for p in positions
+    )
 
     # Step 2: left compose.
     if config.enable_left_compose:

@@ -39,7 +39,7 @@ order, guard baselines and retries legitimately differ.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.simplify import simplify_constraint_set
@@ -270,7 +270,6 @@ def compose_component(
         failed: List[str] = []
         progress = False
         for symbol in order_symbols(constraints, remaining):
-            symbol_started = time.perf_counter()
             constraints, outcome = eliminate(
                 constraints,
                 symbol,
@@ -278,9 +277,7 @@ def compose_component(
                 config,
                 baseline_operator_count=baseline,
             )
-            symbol_seconds = time.perf_counter() - symbol_started
-            charge("eliminate", symbol_seconds)
-            outcome = replace(outcome, duration_seconds=symbol_seconds)
+            charge("eliminate", outcome.duration_seconds)
             if symbol in final:
                 reorderings += 1
             else:

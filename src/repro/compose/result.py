@@ -44,9 +44,10 @@ class EliminationOutcome:
     def elapsed_seconds(self) -> float:
         """Per-symbol elapsed time (alias of ``duration_seconds``).
 
-        Inside :func:`repro.compose.composer.compose` this is the wall-clock
-        time COMPOSE spent on the symbol; standalone ``eliminate`` calls
-        record their own internal timing here.
+        The wall-clock time :func:`repro.compose.eliminate.eliminate` spent
+        on the symbol, measured by its own clock.  Inside
+        :func:`repro.compose.composer.compose` and the planner, the same
+        number is charged to the ``eliminate`` phase bucket.
         """
         return self.duration_seconds
 

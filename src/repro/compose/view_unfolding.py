@@ -10,7 +10,7 @@ to left and right compose (paper Example 5).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.constraints.constraint import EqualityConstraint
 from repro.constraints.constraint_set import ConstraintSet
@@ -18,16 +18,23 @@ from repro.constraints.constraint_set import ConstraintSet
 __all__ = ["unfold_view"]
 
 
-def unfold_view(constraints: ConstraintSet, symbol: str) -> Optional[ConstraintSet]:
+def unfold_view(
+    constraints: ConstraintSet,
+    symbol: str,
+    positions: Optional[Sequence[int]] = None,
+) -> Optional[ConstraintSet]:
     """Try to eliminate ``symbol`` by view unfolding.
 
     Returns the rewritten constraint set on success, or ``None`` if no
     constraint of the form ``symbol = E`` (with ``E`` free of ``symbol``)
-    exists.
+    exists.  ``positions`` are the indices of the constraints mentioning
+    ``symbol``, when the caller already has them (ELIMINATE computes them
+    once per step); by default they come from the set's symbol index.
     """
     # The symbol index narrows the scan to the constraints that mention the
     # symbol at all — a defining equality necessarily does.
-    positions = constraints.indices_mentioning(symbol)
+    if positions is None:
+        positions = constraints.indices_mentioning(symbol)
     for position in positions:
         constraint = constraints[position]
         if not isinstance(constraint, EqualityConstraint):
@@ -36,11 +43,17 @@ def unfold_view(constraints: ConstraintSet, symbol: str) -> Optional[ConstraintS
         if definition is None:
             continue
         # Patch in place: rewrite the indexed constraints, drop the defining
-        # equality; everything else is reused as-is.
+        # equality; everything else is reused as-is.  The operator total is
+        # the parent's, adjusted by what changed, so the blow-up guard does
+        # not recount every constraint of the set.
         result = list(constraints)
+        operator_count = constraints.operator_count() - constraint.operator_count()
         for index in positions:
             if index != position:
-                result[index] = result[index].substituting(symbol, definition)
+                old = result[index]
+                new = old.substituting(symbol, definition)
+                operator_count += new.operator_count() - old.operator_count()
+                result[index] = new
         del result[position]
-        return ConstraintSet(result)
+        return ConstraintSet(result, operator_count=operator_count)
     return None

@@ -8,8 +8,10 @@ are relational-algebra expressions over the combined signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import FrozenSet, Tuple
 
+from repro.algebra.digest import DIGEST_SIZE, expression_digest
 from repro.algebra.expressions import Expression, Relation, _install_cached_hash
 from repro.algebra import traversal
 from repro.algebra.summary import node_summary
@@ -101,20 +103,15 @@ class Constraint:
         property the incremental-recomposition checkpoints rely on.  Cached on
         the (immutable) constraint.
         """
-        try:
-            return self._digest
-        except AttributeError:
-            pass
-        from hashlib import blake2b
-
-        from repro.algebra.digest import DIGEST_SIZE, expression_digest
-
-        h = blake2b(digest_size=DIGEST_SIZE)
-        h.update(type(self).__name__.encode())
-        h.update(expression_digest(self.left))
-        h.update(expression_digest(self.right))
-        value = h.digest()
-        object.__setattr__(self, "_digest", value)
+        value = getattr(self, "_digest", None)
+        if value is None:
+            value = blake2b(
+                type(self).__name__.encode()
+                + expression_digest(self.left)
+                + expression_digest(self.right),
+                digest_size=DIGEST_SIZE,
+            ).digest()
+            object.__setattr__(self, "_digest", value)
         return value
 
     # -- rewriting ------------------------------------------------------------

@@ -27,7 +27,18 @@ __all__ = ["ConstraintSet"]
 class ConstraintSet:
     """An immutable ordered set of constraints."""
 
-    def __init__(self, constraints: Iterable[Constraint] = ()):
+    def __init__(
+        self,
+        constraints: Iterable[Constraint] = (),
+        operator_count: Optional[int] = None,
+    ):
+        """Build the set from ``constraints``, dropping duplicates.
+
+        ``operator_count`` is the total operator count of ``constraints``
+        when the caller already derived it (view unfolding adjusts its parent
+        set's total by what it rewrote).  It is kept only when no duplicate
+        was dropped; otherwise the total is recounted on first use.
+        """
         # Materialize first so exceptions raised by a caller's generator
         # propagate intact; ``dict.fromkeys`` then dedups while preserving
         # first-occurrence order, in C.
@@ -43,7 +54,9 @@ class ConstraintSet:
         # Lazy aggregate caches (immutable set, computed at most once each).
         self._names_cache: Optional[FrozenSet[str]] = None
         self._mention_index: Optional[Dict[str, Tuple[int, ...]]] = None
-        self._operator_count: Optional[int] = None
+        self._operator_count: Optional[int] = (
+            operator_count if len(self._constraints) == len(items) else None
+        )
         self._fingerprint: Optional[bytes] = None
 
     # -- collection protocol ---------------------------------------------------
@@ -194,9 +207,11 @@ class ConstraintSet:
         """
         if self._mention_index is None and len(self._constraints) < self.INDEX_THRESHOLD:
             return tuple(
-                position
-                for position, constraint in enumerate(self._constraints)
-                if name in constraint.relation_names()
+                [
+                    position
+                    for position, constraint in enumerate(self._constraints)
+                    if name in constraint.relation_names()
+                ]
             )
         return self._index().get(name, ())
 

@@ -186,6 +186,9 @@ class ChainGrower:
         )
         self._copy_namer = RelationNamer(prefix="C")
         self._state = self._simulator.random_schema(schema_size)
+        # One Signature object per schema state: a hop's output signature is
+        # the next hop's input signature, so its cached fingerprint is shared.
+        self._signature = self._state.signature()
         self.primitives: List[str] = []
 
     @property
@@ -203,11 +206,13 @@ class ChainGrower:
         survivors = [r for r in step.after.relations if r.name not in produced_names]
         copies, equalities = _rename_survivors(before, survivors, self._copy_namer)
         after = SchemaState(tuple(copies) + tuple(step.produced))
+        before_signature = self._signature
         self._state = after
+        self._signature = after.signature()
 
         return Mapping(
-            input_signature=before.signature(),
-            output_signature=after.signature(),
+            input_signature=before_signature,
+            output_signature=self._signature,
             constraints=ConstraintSet(tuple(step.constraints) + tuple(equalities)),
         )
 

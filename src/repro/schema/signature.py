@@ -63,6 +63,7 @@ class Signature:
     """
 
     def __init__(self, relations: Iterable[RelationSchema] = ()):
+        self._fingerprint: Optional[bytes] = None
         self._relations: Dict[str, RelationSchema] = {}
         for relation_schema in relations:
             if not isinstance(relation_schema, RelationSchema):
@@ -161,20 +162,26 @@ class Signature:
         the order the composition algorithm attempts σ2 symbols in, so two
         orderings of the same relations are distinct inputs.  Stable across
         processes (no salted hashing), which the incremental-recomposition
-        checkpoints rely on.
+        checkpoints rely on.  Cached on the (immutable) signature: a chain
+        fingerprints each of its signatures as one mapping's output and the
+        next one's input.
         """
-        from hashlib import blake2b
+        # Signatures unpickled from an older checkpoint lack the attribute.
+        value = getattr(self, "_fingerprint", None)
+        if value is None:
+            from hashlib import blake2b
 
-        from repro.algebra.digest import DIGEST_SIZE
+            from repro.algebra.digest import DIGEST_SIZE
 
-        h = blake2b(digest_size=DIGEST_SIZE)
-        for relation_schema in self._relations.values():
-            h.update(
-                repr(
-                    (relation_schema.name, relation_schema.arity, relation_schema.key)
-                ).encode()
-            )
-        return h.digest()
+            h = blake2b(digest_size=DIGEST_SIZE)
+            for relation_schema in self._relations.values():
+                h.update(
+                    repr(
+                        (relation_schema.name, relation_schema.arity, relation_schema.key)
+                    ).encode()
+                )
+            value = self._fingerprint = h.digest()
+        return value
 
     def is_disjoint_from(self, other: "Signature") -> bool:
         """Return ``True`` if no relation name is shared with ``other``."""

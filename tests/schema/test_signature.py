@@ -1,5 +1,7 @@
 """Tests for signatures and relation schemas."""
 
+import pickle
+
 import pytest
 
 from repro.algebra.expressions import Relation
@@ -115,6 +117,16 @@ class TestSignature:
         b = Signature.from_arities({"S": 1, "R": 2})
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_fingerprint_is_cached_and_survives_an_older_pickle(self):
+        signature = Signature([RelationSchema("R", 2, (0,)), RelationSchema("S", 1)])
+        expected = signature.fingerprint()
+        assert signature.fingerprint() is expected
+        # Checkpoints pickled before signatures cached their fingerprint
+        # carry no such attribute; they must still name the same signature.
+        restored = pickle.loads(pickle.dumps(signature))
+        restored.__dict__.pop("_fingerprint", None)
+        assert restored.fingerprint() == expected
 
     def test_empty_signature(self):
         signature = Signature()
