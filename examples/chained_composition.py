@@ -8,8 +8,8 @@ symbols forward, and yields a single mapping from version 1 to version 6.
 
 The second half of the example runs a *batch* of randomized chain problems
 through the :class:`BatchComposer` — the engine that powers the stress
-benchmarks — and prints its aggregate report, including the shared
-expression-cache statistics.
+benchmarks — and prints its aggregate report, including the hop-checkpoint
+statistics.
 
 Run with::
 

@@ -36,13 +36,6 @@ from repro.algebra.expressions import (
 from repro.algebra.terms import Attribute, Constant, NULL
 from repro.algebra import builders, traversal
 from repro.algebra.evaluation import Evaluator, SkolemInterpretation, evaluate
-from repro.algebra.interning import (
-    ExpressionCache,
-    activate_cache,
-    active_cache,
-    deactivate_cache,
-    shared_expression_cache,
-)
 from repro.algebra.parser import parse_condition, parse_constraint, parse_constraints, parse_expression
 from repro.algebra.printer import condition_to_text, expression_to_text
 from repro.algebra.simplify import simplify_constraint, simplify_constraint_set, simplify_expression
@@ -97,9 +90,4 @@ __all__ = [
     "simplify_expression",
     "simplify_constraint",
     "simplify_constraint_set",
-    "ExpressionCache",
-    "activate_cache",
-    "active_cache",
-    "deactivate_cache",
-    "shared_expression_cache",
 ]

@@ -1,7 +1,7 @@
 """Deterministic structural digests of expression trees.
 
-The cached structural *hashes* (:mod:`repro.algebra.summary` warms them, the
-interning tables key on them) are the right tool inside one process, but
+The cached structural *hashes* (:mod:`repro.algebra.summary` warms them,
+constraint-set dedup keys on them) are the right tool inside one process, but
 CPython salts string hashing per process, so they cannot name an expression
 across a pickle boundary.  Incremental recomposition needs exactly that: a
 checkpoint persisted by one process must still be recognized by the next.

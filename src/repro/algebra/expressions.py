@@ -90,8 +90,8 @@ class Expression:
     def __getstate__(self):
         # Drop the lazily cached structural hash (string hashing is salted
         # per process, so a pickled hash would be wrong in another process)
-        # and the "already simplified" marker (it references a live memo
-        # table whose identity does not survive pickling).  The structural
+        # and the "already simplified" stamp (it holds an in-process rules
+        # token whose identity does not survive pickling).  The structural
         # summaries and cached arity survive — they are process-independent.
         state = dict(self.__dict__)
         state.pop("_hash_value", None)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from operator import is_not
 from typing import Dict, List, Optional
 
-from repro.algebra import interning
 from repro.algebra.conditions import FalseCondition, TrueCondition, conjunction
 from repro.algebra.expressions import (
     CrossProduct,
@@ -46,6 +45,7 @@ from repro.constraints.constraint import (
     EqualityConstraint,
 )
 from repro.constraints.constraint_set import ConstraintSet
+from repro.operators.registry import rules_token
 
 __all__ = [
     "simplify_expression",
@@ -246,30 +246,19 @@ def simplify_expression(expression: Expression, registry=None) -> Expression:
     """Simplify an expression by applying the local rewrite rules to a fixpoint.
 
     The rewriter is a single bottom-up pass over the expression DAG with
-    per-subtree memoization.  When an expression cache is active
-    (:mod:`repro.algebra.interning`), every output is stamped with an
-    "already a fixpoint for this registry" token, so re-simplifying an
-    expression that has been through the rewriter — which COMPOSE does after
-    every elimination round, chain hop, and batch problem — costs one
-    attribute read.
+    per-subtree memoization.  Its output is stamped with the registry's
+    rules token (:func:`~repro.operators.registry.rules_token`), and an input
+    that carries the current token is returned as-is: COMPOSE re-simplifies
+    the same immutable objects after every elimination round and chain hop,
+    so each repeat costs one attribute read.  Registering or removing a rule
+    replaces the token, which retires every stamp made under the old rules.
     """
-    cache = interning.active_cache()
-    if cache is not None:
-        token = cache.simplify_token(registry)
-        # One attribute read proves "this object already came out of this
-        # rewriter for this registry".  COMPOSE threads the same immutable
-        # expression objects through hop after hop, so the token answers the
-        # overwhelming majority of re-simplifications; a persistent
-        # structural table was measured to cost more in insert and memory
-        # traffic than its extra equal-but-distinct hits saved.
-        if getattr(expression, "_simplified_for", None) is token:
-            cache.hits += 1
-            return expression
-        cache.misses += 1
-        result = _simplify_dag(expression, registry)
-        object.__setattr__(result, "_simplified_for", token)
-        return result
-    return _simplify_dag(expression, registry)
+    token = rules_token(registry)
+    if getattr(expression, "_simplified_for", None) is token:
+        return expression
+    result = _simplify_dag(expression, registry)
+    object.__setattr__(result, "_simplified_for", token)
+    return result
 
 
 def is_trivially_satisfied(constraint: Constraint) -> bool:
@@ -290,18 +279,17 @@ def is_trivially_satisfied(constraint: Constraint) -> bool:
 
 
 def simplify_constraint(constraint: Constraint, registry=None) -> Constraint:
-    """Simplify both sides of a constraint (token-memoized when a cache is
-    active — whole constraints recur verbatim across elimination rounds and
-    chain hops, and the token turns each repeat into one attribute read)."""
-    cache = interning.active_cache()
-    if cache is not None:
-        token = cache.constraint_token(registry)
-        # One attribute read answers "already a fixpoint for this registry".
-        if getattr(constraint, "_simplified_for", None) is token:
-            return constraint
+    """Simplify both sides of a constraint.
+
+    Stamped like :func:`simplify_expression`: whole constraints recur
+    verbatim across elimination rounds and chain hops, and the stamp turns
+    each repeat into one attribute read.
+    """
+    token = rules_token(registry)
+    if getattr(constraint, "_simplified_for", None) is token:
+        return constraint
     result = _simplify_constraint(constraint, registry)
-    if cache is not None:
-        object.__setattr__(result, "_simplified_for", token)
+    object.__setattr__(result, "_simplified_for", token)
     return result
 
 
@@ -325,9 +313,9 @@ def simplify_constraint_set(
     returned as-is — COMPOSE's final pass then skips the re-walk whenever the
     last elimination step already simplified its output.
     """
-    # The marker includes the registry's rule version, so registering a new
+    # The marker holds the registry's rules token, so registering a new
     # simplification rule mid-run invalidates the "already simplified" skip.
-    marker = (registry, getattr(registry, "version", 0), drop_trivial)
+    marker = (rules_token(registry), drop_trivial)
     if getattr(constraints, "_simplified_marker", None) == marker:
         return constraints
     simplified = constraints.map(lambda c: simplify_constraint(c, registry))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from repro.algebra.interning import ExpressionCache, shared_expression_cache
 from repro.algebra.simplify import simplify_constraint_set
 from repro.compose.config import ComposerConfig
 from repro.compose.eliminate import eliminate
@@ -29,14 +28,8 @@ __all__ = ["compose", "compose_mappings"]
 def compose(
     problem: CompositionProblem,
     config: Optional[ComposerConfig] = None,
-    cache: Optional[ExpressionCache] = None,
 ) -> CompositionResult:
     """Run COMPOSE on a composition problem and return the detailed result.
-
-    ``cache`` activates an :class:`ExpressionCache` for the duration of this
-    composition (restoring the previous activation afterwards), so repeated
-    standalone calls can share one cache without going through the batch
-    engine.  When omitted, whatever cache is already active is used.
 
     With ``config.elimination_order == "cost"`` the composition is routed
     through the cost-guided planner (:mod:`repro.compose.planner`):
@@ -44,9 +37,6 @@ def compose(
     composed separately, cheapest eliminations first, with failed symbols
     re-queued after the cheaper ones.
     """
-    if cache is not None:
-        with shared_expression_cache(cache):
-            return compose(problem, config)
     config = config or ComposerConfig()
     if config.elimination_order == "cost":
         from repro.compose.planner import plan_compose

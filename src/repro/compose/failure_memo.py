@@ -4,9 +4,15 @@ Whether one constraint can be left-/right-normalized for a symbol — or passes
 the per-constraint monotonicity and both-sides gates — is a pure function of
 that constraint, the symbol and the registry's rules.  The best-effort
 algorithm retries failed symbols after every chain hop and schema edit,
-re-deriving the same dead ends; recording them in the active cache's failure
-memo (:meth:`repro.algebra.interning.ExpressionCache.failure_memo`) turns
-each retry into one set probe per affected constraint.
+re-deriving the same dead ends; stamping each failure on the (immutable)
+constraint turns every retry into one attribute read per affected constraint.
+
+A stamp is ``(rules token, {(kind, symbol), ...})`` in the constraint's
+``_known_failures`` attribute, keyed by the registry's rules token
+(:func:`~repro.operators.registry.rules_token`), so registering or removing
+a rule retires every failure recorded under the old rules.  Stamps are
+idempotent: two threads racing on one constraint at worst drop a record,
+which only repeats work.
 
 Both compose directions use the same machinery; only the ``kind`` tag and the
 call sites differ, so the bookkeeping lives here once.
@@ -16,55 +22,45 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.algebra import interning
 from repro.constraints.constraint import Constraint, EqualityConstraint
+from repro.operators.registry import rules_token
 
 __all__ = ["NormalizationFailureMemo"]
 
 
 class NormalizationFailureMemo:
-    """Per-(constraint, symbol) failure bookkeeping for one compose attempt.
-
-    Inactive (every method a cheap no-op) when no expression cache is active.
-    """
+    """Per-(constraint, symbol) failure bookkeeping for one compose attempt."""
 
     def __init__(self, kind: str, registry: Optional[object], symbol: str):
-        cache = interning.active_cache()
-        self._failures = (
-            cache.failure_memo(kind, registry) if cache is not None else None
-        )
-        self._symbol = symbol
+        self._token = rules_token(registry)
+        self._key = (kind, symbol)
         self._origins: dict = {}
 
     def any_known(self, constraints: Iterable[Constraint]) -> bool:
         """True if any of ``constraints`` is already known to fail for the symbol."""
-        failures = self._failures
-        if failures is None:
-            return False
-        symbol = self._symbol
-        return any((constraint, symbol) in failures for constraint in constraints)
+        token, key = self._token, self._key
+        for constraint in constraints:
+            stamp = getattr(constraint, "_known_failures", None)
+            if stamp is not None and stamp[0] is token and key in stamp[1]:
+                return True
+        return False
 
     def map_split_origins(self, mentioning: Iterable[Constraint]) -> None:
         """Trace equality-split containments back to their source equality.
 
-        Failures must be recorded against constraints the entry probe can see
-        — members of the original set — not against the transient split
-        parts.
+        Failures must be stamped on constraints the entry probe can see —
+        members of the original set — not on the transient split parts.
         """
-        if self._failures is None:
-            return
         for constraint in mentioning:
             if isinstance(constraint, EqualityConstraint):
                 for part in constraint.as_containments():
                     self._origins[part] = constraint
 
     def record(self, constraint: Constraint) -> None:
-        """Record that ``constraint`` (or its split origin) fails for the symbol."""
-        if self._failures is not None:
-            origin = self._origins.get(constraint, constraint)
-            self._failures.add((origin, self._symbol))
-
-    @property
-    def sink(self):
-        """``failure_sink`` callback for the normalize drivers (or ``None``)."""
-        return self.record if self._failures is not None else None
+        """Stamp ``constraint`` (or its split origin) as failing for the symbol."""
+        origin = self._origins.get(constraint, constraint)
+        stamp = getattr(origin, "_known_failures", None)
+        if stamp is None or stamp[0] is not self._token:
+            stamp = (self._token, set())
+            object.__setattr__(origin, "_known_failures", stamp)
+        stamp[1].add(self._key)

@@ -49,10 +49,11 @@ def left_compose(
     3. left-normalization fails;
     4. the post-normalization monotonicity re-check fails.
 
-    Failures of kinds 1-3 are pure per-constraint properties; with an active
-    expression cache they are recorded in a failure memo, so the best-effort
-    retries COMPOSE performs after every chain hop / schema edit fast-fail as
-    soon as a known-dead constraint is still present.
+    Failures of kinds 1-3 are pure per-constraint properties, so they are
+    stamped on the failing constraint (:mod:`repro.compose.failure_memo`),
+    and the best-effort retries COMPOSE performs after every chain hop /
+    schema edit fast-fail as soon as a known-dead constraint is still
+    present.
     """
     mentioning = [constraints[i] for i in constraints.indices_mentioning(symbol)]
     memo = NormalizationFailureMemo("left-compose", registry, symbol)
@@ -83,7 +84,7 @@ def left_compose(
     context = NormalizationContext(symbol=symbol, symbol_arity=symbol_arity, registry=registry)
     with timed("normalize"):
         normalized = left_normalize(
-            working, symbol, context, max_steps=max_steps, failure_sink=memo.sink
+            working, symbol, context, max_steps=max_steps, failure_sink=memo.record
         )
     if normalized is None:
         return None

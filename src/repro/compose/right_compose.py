@@ -50,8 +50,9 @@ def right_compose(
     4. the post-normalization monotonicity re-check fails;
     5. deskolemization fails.
 
-    As in left compose, the per-constraint failures (kinds 1-3) are recorded
-    in the active cache's failure memo so retries fast-fail.
+    As in left compose, the per-constraint failures (kinds 1-3) are stamped
+    on the failing constraint (:mod:`repro.compose.failure_memo`) so retries
+    fast-fail.
     """
     mentioning = [constraints[i] for i in constraints.indices_mentioning(symbol)]
     memo = NormalizationFailureMemo("right-compose", registry, symbol)
@@ -81,7 +82,7 @@ def right_compose(
     context = NormalizationContext(symbol=symbol, symbol_arity=symbol_arity, registry=registry)
     with timed("normalize"):
         normalized = right_normalize(
-            working, symbol, context, max_steps=max_steps, failure_sink=memo.sink
+            working, symbol, context, max_steps=max_steps, failure_sink=memo.record
         )
     if normalized is None:
         return None

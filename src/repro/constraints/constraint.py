@@ -133,12 +133,14 @@ class Constraint:
 
     def __getstate__(self):
         # Drop the lazily cached hash (string hashing is salted per process)
-        # and the "already simplified" marker (it references a live memo
-        # table); the cached name set and operator count are structural and
-        # survive pickling.
+        # and the "already simplified" and "known to fail" stamps (they hold
+        # an in-process rules token that never matches after unpickling);
+        # the cached name set and operator count are structural and survive
+        # pickling.
         state = dict(self.__dict__)
         state.pop("_hash_value", None)
         state.pop("_simplified_for", None)
+        state.pop("_known_failures", None)
         return state
 
 

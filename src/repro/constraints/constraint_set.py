@@ -85,7 +85,7 @@ class ConstraintSet:
         return f"ConstraintSet({len(self._constraints)} constraints)"
 
     def __getstate__(self):
-        # The "already simplified" marker references a live registry object;
+        # The "already simplified" marker holds an in-process rules token;
         # identity does not survive pickling, so drop it (the caches do
         # survive — they are structural).
         state = dict(self.__dict__)

@@ -5,8 +5,8 @@ This subsystem layers scale on top of the core COMPOSE procedure:
 * :mod:`repro.engine.chain` — n-ary chained composition
   (``m12 ∘ m23 ∘ … ∘ m(n-1)(n)``) with residual-symbol threading;
 * :mod:`repro.engine.batch` — in-process batch execution, in submission
-  order, with failure isolation, soft timeouts, a shared expression cache
-  and a shared hop-checkpoint store;
+  order, with failure isolation, soft timeouts and a shared hop-checkpoint
+  store;
 * :mod:`repro.engine.checkpoint` / :mod:`repro.engine.fingerprint` — content
   fingerprints over chains and the checkpoint store keyed by them;
 * :mod:`repro.engine.incremental` — the incremental recomposition engine:

@@ -11,16 +11,20 @@ through one engine with
 * a soft per-problem timeout: problems whose execution exceeds the budget are
   reported as timed out and their result discarded (cooperative — a running
   job is never interrupted),
-* a shared expression cache (:mod:`repro.algebra.interning`) so sub-expressions
-  repeated across the batch are simplified once, and
+* the cyclic garbage collector paused for the batch, and
 * a shared hop-checkpoint store (:mod:`repro.engine.checkpoint`) so chains
   sharing a prefix recompose incrementally.
 
 There is no thread or process pool.  Composition is GIL-bound pure Python, so
 threads never speed it up, and a process pool pays for pickling every job's
-constraint sets and loses the shared cache and checkpoints: on 1- and 2-core
-hosts it ran the planner's component workloads at 0.09–0.13× the serial
-loop.
+constraint sets and loses the shared checkpoints: on 1- and 2-core hosts it
+ran the planner's component workloads at 0.09–0.13× the serial loop.
+
+There is no expression cache either.  The memos COMPOSE relies on ("already
+simplified", "known to fail normalization") are stamps on the immutable
+objects themselves (:mod:`repro.algebra.simplify`,
+:mod:`repro.compose.failure_memo`), so a batch does the same work as its
+jobs composed one by one through :func:`~repro.engine.chain.compose_chain`.
 
 ``BatchComposer.map`` is the generic engine; ``run`` (composition problems)
 and ``run_chains`` (mapping chains) are the composition-aware entry points the
@@ -37,7 +41,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.algebra.interning import ExpressionCache, shared_expression_cache
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
 from repro.engine.chain import compose_chain
@@ -75,40 +78,20 @@ class BatchConfig:
         ``None`` disables the budget.
     composer_config:
         The :class:`ComposerConfig` used by ``run`` / ``run_chains``.
-    share_expression_cache:
-        Activate one :class:`ExpressionCache` across the whole batch so
-        repeated sub-expressions are simplified once.
-    cache_max_entries:
-        Size bound of the shared cache.
     share_checkpoints:
         Keep one hop-checkpoint store (:mod:`repro.engine.checkpoint`) on the
         composer and thread it through every ``run_chains`` job, so chains
         sharing a fingerprinted prefix — within one batch or across
         successive batches on the same composer, the schema-evolution
-        edit-replay pattern — recompose incrementally.
-    checkpoint_max_entries:
-        Size bound of the checkpoint store.
-    pause_gc:
-        Disable the cyclic garbage collector for the duration of the batch
-        (re-enabled afterwards; no forced collection — composition allocates
-        (almost) no reference cycles, so refcounting reclaims the batch's
-        garbage and the next natural collection handles the rest).
-        Composition allocates millions of small immutable nodes and the
-        shared cache keeps large long-lived tables; periodic full collections
-        re-scan those tables for cycles they cannot contain.  Set to
-        ``False`` if jobs create reference cycles that must be reclaimed
-        mid-batch.
+        edit-replay pattern — recompose incrementally.  The store keeps
+        the default bound of :class:`~repro.engine.checkpoint.CheckpointStore`.
     fail_fast:
         Re-raise the first problem failure instead of isolating it.
     """
 
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
-    share_expression_cache: bool = True
-    cache_max_entries: int = 200_000
     share_checkpoints: bool = True
-    checkpoint_max_entries: int = 4096
-    pause_gc: bool = True
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
@@ -137,7 +120,11 @@ class BatchItemResult:
 
 @dataclass(frozen=True)
 class BatchReport:
-    """Aggregate outcome of one batch run."""
+    """Aggregate outcome of one batch run.
+
+    ``cache_stats`` is always ``None`` (batches share no expression cache);
+    the field is kept for readers that still look it up.
+    """
 
     items: Tuple[BatchItemResult, ...]
     elapsed_seconds: float
@@ -211,12 +198,6 @@ class BatchReport:
             lines.append(f"failed: {', '.join(item.label for item in self.failed)}")
         if self.timed_out:
             lines.append(f"timed out: {', '.join(item.label for item in self.timed_out)}")
-        if self.cache_stats is not None:
-            lines.append(
-                f"expression cache: {self.cache_stats['hits']:.0f} hits / "
-                f"{self.cache_stats['misses']:.0f} misses "
-                f"({self.cache_stats['hit_rate']:.0%})"
-            )
         if self.checkpoint_stats is not None:
             lines.append(
                 f"hop checkpoints: {self.checkpoint_stats['entries']:.0f} recorded, "
@@ -229,14 +210,16 @@ class BatchReport:
 
 
 @contextlib.contextmanager
-def _gc_paused(enabled: bool):
-    """Pause the cyclic collector for a batch run (see ``BatchConfig.pause_gc``).
+def _gc_paused():
+    """Pause the cyclic collector for a batch run.
 
-    No forced collection afterwards: composition allocates (almost) no
-    reference cycles, so refcounting reclaims the batch's garbage and the next
-    natural collection handles the rest.
+    Composition allocates millions of small immutable nodes and (almost) no
+    reference cycles, so periodic full collections re-scan live objects for
+    cycles they cannot contain.  No forced collection afterwards: refcounting
+    reclaims the batch's garbage and the next natural collection handles the
+    rest.
     """
-    if not enabled or not gc.isenabled():
+    if not gc.isenabled():
         yield
         return
     gc.disable()
@@ -271,9 +254,7 @@ class BatchComposer:
             self.checkpoints: Optional[CheckpointStore] = checkpoints
         else:
             self.checkpoints = (
-                CheckpointStore(max_entries=self.config.checkpoint_max_entries)
-                if self.config.share_checkpoints
-                else None
+                CheckpointStore() if self.config.share_checkpoints else None
             )
 
     # -- generic engine --------------------------------------------------------
@@ -291,14 +272,7 @@ class BatchComposer:
             raise EngineError("labels must match items one-to-one")
 
         started = time.perf_counter()
-        cache: Optional[ExpressionCache] = None
-        with _gc_paused(self.config.pause_gc), contextlib.ExitStack() as stack:
-            if self.config.share_expression_cache:
-                cache = stack.enter_context(
-                    shared_expression_cache(
-                        ExpressionCache(max_entries=self.config.cache_max_entries)
-                    )
-                )
+        with _gc_paused():
             results = [
                 self._run_one(index, label, fn, item)
                 for index, (item, label) in enumerate(zip(items, labels))
@@ -307,7 +281,6 @@ class BatchComposer:
         return BatchReport(
             items=tuple(results),
             elapsed_seconds=time.perf_counter() - started,
-            cache_stats=cache.stats() if cache is not None else None,
             checkpoint_stats=(
                 self.checkpoints.stats() if self.checkpoints is not None else None
             ),

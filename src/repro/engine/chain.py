@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algebra.interning import ExpressionCache
     from repro.engine.checkpoint import CheckpointStore
 
 from repro.compose.composer import compose
@@ -223,7 +222,6 @@ def compose_chain(
     mappings: Sequence[Mapping],
     config: Optional[ComposerConfig] = None,
     retry_residuals: bool = True,
-    cache: Optional["ExpressionCache"] = None,
     checkpoints: Optional["CheckpointStore"] = None,
 ) -> ChainResult:
     """Compose ``m12 ∘ m23 ∘ … ∘ m(n-1)(n)`` by folding through :func:`compose`.
@@ -240,11 +238,6 @@ def compose_chain(
         back into the intermediate signature of every later hop, giving the
         algorithm more chances as the surrounding constraints change.  When
         ``False``, residuals are frozen into the input signature immediately.
-    cache:
-        Optional :class:`~repro.algebra.interning.ExpressionCache` activated
-        for the whole chain — including the per-hop problem assembly — so
-        every hop shares one set of fixpoint tokens and memo tables (the
-        batch engine threads its own cache this way).
     checkpoints:
         Optional :class:`~repro.engine.checkpoint.CheckpointStore`.  When
         given, the fold records a checkpoint after every hop, keyed by the
@@ -260,11 +253,6 @@ def compose_chain(
     Returns the :class:`ChainResult`; a single-mapping chain returns a trivial
     result with zero hops.
     """
-    if cache is not None:
-        from repro.algebra.interning import shared_expression_cache
-
-        with shared_expression_cache(cache):
-            return compose_chain(mappings, config, retry_residuals, checkpoints=checkpoints)
     validate_chain(mappings)
     config = config or ComposerConfig()
     started = time.perf_counter()

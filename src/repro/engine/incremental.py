@@ -10,12 +10,12 @@ mismatch.
 Two layers live here:
 
 * :class:`IncrementalComposer` — a stateful engine owning one
-  :class:`~repro.engine.checkpoint.CheckpointStore` and one shared
-  :class:`~repro.algebra.interning.ExpressionCache`, threading both through
-  every :func:`~repro.engine.chain.compose_chain` call (the cache end-to-end,
-  including per-hop problem assembly).  Give it "the previous chain plus a
-  delta" — append a hop, replace a suffix, edit one mapping — and it reuses
-  everything upstream of the change.
+  :class:`~repro.engine.checkpoint.CheckpointStore`, threaded through every
+  :func:`~repro.engine.chain.compose_chain` call.  Give it "the previous
+  chain plus a delta" — append a hop, replace a suffix, edit one mapping —
+  and it reuses everything upstream of the change.  Its one configuration
+  also keeps the "already simplified" and "known to fail" stamps on the
+  immutable constraints valid from one edit to the next.
 * :class:`EvolutionSession` — a delta-aware edit-replay session over one
   chain: mutate the chain through :meth:`append` / :meth:`edit` /
   :meth:`replace_suffix` / :meth:`pop` and read the freshly recomposed
@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algebra.interning import ExpressionCache
 from repro.compose.config import ComposerConfig
 from repro.engine.chain import ChainResult, compose_chain, validate_chain
 from repro.engine.checkpoint import DEFAULT_MAX_CHECKPOINTS, CheckpointStore
@@ -56,10 +55,6 @@ class IncrementalComposer:
         Residual-threading mode forwarded to :func:`compose_chain`.
     checkpoints / checkpoint_max_entries:
         The hop-checkpoint store to use, or the bound for a fresh one.
-    cache / cache_max_entries:
-        The shared expression cache threaded through every call — memo tables
-        and fixpoint tokens persist across edits, exactly like the batch
-        engine's per-batch cache, but for the lifetime of this composer.
     """
 
     def __init__(
@@ -67,16 +62,13 @@ class IncrementalComposer:
         config: Optional[ComposerConfig] = None,
         retry_residuals: bool = True,
         checkpoints: Optional[CheckpointStore] = None,
-        cache: Optional[ExpressionCache] = None,
         checkpoint_max_entries: int = DEFAULT_MAX_CHECKPOINTS,
-        cache_max_entries: int = 200_000,
     ):
         self.config = config or ComposerConfig()
         self.retry_residuals = retry_residuals
         self.checkpoints = checkpoints or CheckpointStore(
             max_entries=checkpoint_max_entries
         )
-        self.cache = cache or ExpressionCache(max_entries=cache_max_entries)
 
     def compose_chain(self, mappings: Sequence[Mapping]) -> ChainResult:
         """Compose ``mappings``, reusing every checkpointed prefix hop."""
@@ -84,16 +76,12 @@ class IncrementalComposer:
             mappings,
             self.config,
             self.retry_residuals,
-            cache=self.cache,
             checkpoints=self.checkpoints,
         )
 
     def stats(self) -> Dict[str, Dict[str, float]]:
-        """Counters of the checkpoint store and the expression cache."""
-        return {
-            "checkpoints": self.checkpoints.stats(),
-            "cache": self.cache.stats(),
-        }
+        """Counters of the checkpoint store."""
+        return {"checkpoints": self.checkpoints.stats()}
 
     def __repr__(self) -> str:
         return (

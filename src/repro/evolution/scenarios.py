@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.algebra.interning import ExpressionCache
+from typing import Dict, List, Optional, Tuple
 
 from repro.compose.config import ComposerConfig
 from repro.compose.eliminate import eliminate
@@ -162,35 +159,18 @@ def run_editing_scenario(
     simulator: Optional[SchemaEvolutionSimulator] = None,
     initial_schema: Optional[SchemaState] = None,
     retry_leftovers: bool = True,
-    cache: Optional["ExpressionCache"] = None,
 ) -> EditingScenarioResult:
     """Run one schema-editing scenario: ``num_edits`` edits with a composition after each.
 
     Parameters mirror the paper's defaults (schema size 30, 100 edits per run,
     Default event vector).  ``simulator`` / ``initial_schema`` allow callers
     (notably the reconciliation scenario) to reuse a pre-built starting point.
-    ``cache`` activates one shared
-    :class:`~repro.algebra.interning.ExpressionCache` for the whole run —
-    every per-edit elimination, constraint-set assembly included — so the
-    retries the scenario performs after each edit hit the same memo tables.
-    When omitted, whatever cache is already active (e.g. the batch engine's)
-    is used.
+    Every edit's elimination runs under one ``composer_config``, so the
+    leftovers retried after each edit find the "already simplified" and
+    "known to fail" stamps the earlier attempts left on the surviving
+    constraints (:mod:`repro.algebra.simplify`,
+    :mod:`repro.compose.failure_memo`).
     """
-    if cache is not None:
-        from repro.algebra.interning import shared_expression_cache
-
-        with shared_expression_cache(cache):
-            return run_editing_scenario(
-                schema_size=schema_size,
-                num_edits=num_edits,
-                seed=seed,
-                simulator_config=simulator_config,
-                composer_config=composer_config,
-                event_vector=event_vector,
-                simulator=simulator,
-                initial_schema=initial_schema,
-                retry_leftovers=retry_leftovers,
-            )
     simulator_config = simulator_config or SimulatorConfig()
     composer_config = composer_config or ComposerConfig()
     simulator = simulator or SchemaEvolutionSimulator(
@@ -326,7 +306,6 @@ def run_reconciliation_scenario(
     composer_config: Optional[ComposerConfig] = None,
     event_vector: Optional[EventVector] = None,
     max_branch_attempts: int = 3,
-    cache: Optional["ExpressionCache"] = None,
 ) -> Tuple[ReconciliationRecord, CompositionResult]:
     """Run one schema-reconciliation task.
 
@@ -335,24 +314,7 @@ def run_reconciliation_scenario(
     schema's symbols.  Branch generation is retried a few times to obtain
     first-order (fully composed) input mappings, as in the paper; if that
     fails, surviving branch symbols are added to the intermediate signature.
-    ``cache`` activates one shared expression cache end-to-end: both branch
-    runs, the assembly of the final :class:`CompositionProblem` and the
-    composition itself all use the same memo tables.  When omitted, whatever
-    cache is already active (e.g. the batch engine's) is used.
     """
-    if cache is not None:
-        from repro.algebra.interning import shared_expression_cache
-
-        with shared_expression_cache(cache):
-            return run_reconciliation_scenario(
-                schema_size=schema_size,
-                num_edits=num_edits,
-                seed=seed,
-                simulator_config=simulator_config,
-                composer_config=composer_config,
-                event_vector=event_vector,
-                max_branch_attempts=max_branch_attempts,
-            )
     simulator_config = simulator_config or SimulatorConfig()
     composer_config = composer_config or ComposerConfig()
 

@@ -192,8 +192,7 @@ def run_editing_study(
     configuration × run combinations are independent (each run owns its seed),
     so they are dispatched as one batch through ``batch`` (a
     :class:`BatchComposer`; a default one when omitted), which runs them in
-    order in this process with failure isolation and one shared expression
-    cache.
+    order in this process with failure isolation.
     """
     if paper_scale:
         schema_size, num_edits, runs = 30, 100, 100

@@ -33,7 +33,7 @@ from repro.algebra.expressions import Expression
 from repro.exceptions import RegistryError
 from repro.operators.monotonicity import Monotonicity
 
-__all__ = ["OperatorRule", "OperatorRegistry", "default_registry"]
+__all__ = ["OperatorRule", "OperatorRegistry", "default_registry", "rules_token"]
 
 
 #: A monotonicity rule receives the expression and the per-child classifications
@@ -68,10 +68,16 @@ class OperatorRegistry:
 
     def __init__(self) -> None:
         self._rules: Dict[Type[Expression], OperatorRule] = {}
-        #: Bumped on every (un)registration; rule-dependent memo tables (the
-        #: normalization-failure memo in repro.algebra.interning) key on it so
-        #: extending a registry mid-run invalidates stale entries.
+        #: Bumped on every (un)registration; :meth:`fingerprint` covers it, so
+        #: extending a registry mid-run retires every checkpoint token derived
+        #: from the old rule set.
         self.version = 0
+        #: Names this registry's current rule set in process: the key of the
+        #: "already simplified" and "known to fail" stamps that the
+        #: simplifier and the failure memo leave on immutable expressions and
+        #: constraints.  Replaced whenever ``version`` is bumped, so a stamp
+        #: made under the old rules stops matching.
+        self.rules_token = object()
 
     # -- registration -----------------------------------------------------------
 
@@ -85,6 +91,7 @@ class OperatorRegistry:
             )
         self._rules[rule.operator_type] = rule
         self.version += 1
+        self.rules_token = object()
 
     def register_operator(
         self,
@@ -111,6 +118,7 @@ class OperatorRegistry:
         """Remove the rule bundle for an operator type (no-op if absent)."""
         self._rules.pop(operator_type, None)
         self.version += 1
+        self.rules_token = object()
 
     def copy(self) -> "OperatorRegistry":
         """Return an independent copy (so callers can extend without side effects)."""
@@ -200,6 +208,19 @@ class OperatorRegistry:
         if rule is None or rule.simplification_rule is None:
             return None
         return rule.simplification_rule(expression)
+
+
+#: The rules token of ``registry=None``: the built-in rules alone.
+BUILTIN_RULES_TOKEN = object()
+
+
+def rules_token(registry: Optional[OperatorRegistry]) -> object:
+    """The stamp key for ``registry``'s current rule set.
+
+    See :attr:`OperatorRegistry.rules_token`; ``None`` (the built-in rules
+    alone) maps to :data:`BUILTIN_RULES_TOKEN`.
+    """
+    return BUILTIN_RULES_TOKEN if registry is None else registry.rules_token
 
 
 _DEFAULT_REGISTRY: Optional[OperatorRegistry] = None

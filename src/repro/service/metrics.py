@@ -14,8 +14,7 @@ one plain dict — the payload of the HTTP ``/metrics`` endpoint and the CLI's
 * latency — cumulative queue-wait and execution seconds (with means);
 * composition phases — the per-phase wall-clock buckets of every served
   result (:mod:`repro.compose.phases`), summed; and
-* engine stores — expression-cache hits/misses accumulated over batch
-  reports, plus a live view of the (possibly persistent) checkpoint store;
+* engine stores — a live view of the (possibly persistent) checkpoint store;
 * garbage collection — background-sweep counts and what they removed; and
 * degradation — batch-execution failures *by exception type* (a blanket
   ``except`` that only bumped one opaque counter hid which failure mode was
@@ -35,8 +34,8 @@ from typing import Dict, List, Optional, Tuple
 __all__ = ["LatencyHistogram", "ServiceMetrics", "DEFAULT_BUCKETS"]
 
 # Prometheus-style cumulative latency buckets (seconds).  Spanning 1ms to
-# 30s covers everything from an expression-cache hit to an election under
-# a fault schedule; +Inf is implicit in the rendering.
+# 30s covers everything from a checkpoint replay to an election under a
+# fault schedule; +Inf is implicit in the rendering.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001,
     0.005,
@@ -121,8 +120,6 @@ class ServiceMetrics:
         self.queue_seconds = 0.0
         self.execution_seconds = 0.0
         self._phase_seconds: Dict[str, float] = {}
-        self._cache_hits = 0.0
-        self._cache_misses = 0.0
         self.batch_failures = 0
         self.batch_failed_items = 0
         self._batch_failure_types: Dict[str, int] = {}
@@ -185,13 +182,10 @@ class ServiceMetrics:
                 self._gc_sweep_failure_types.get(error_type, 0) + 1
             )
 
-    def record_batch(self, size: int, cache_stats: Optional[dict]) -> None:
+    def record_batch(self, size: int) -> None:
         with self._lock:
             self.batches += 1
             self.batched_items += size
-            if cache_stats:
-                self._cache_hits += cache_stats.get("hits", 0)
-                self._cache_misses += cache_stats.get("misses", 0)
 
     def record_batch_failure(self, error_type: str, items: int) -> None:
         """One whole ``BatchComposer`` call died, failing its ``items`` requests.
@@ -300,7 +294,6 @@ class ServiceMetrics:
         """Everything as one JSON-serializable dict."""
         with self._lock:
             finished = self.completed + self.failed + self.timed_out
-            cache_total = self._cache_hits + self._cache_misses
             return {
                 "requests": {
                     "submitted": self.submitted,
@@ -332,11 +325,6 @@ class ServiceMetrics:
                     ),
                 },
                 "phases": dict(sorted(self._phase_seconds.items())),
-                "expression_cache": {
-                    "hits": self._cache_hits,
-                    "misses": self._cache_misses,
-                    "hit_rate": (self._cache_hits / cache_total if cache_total else 0.0),
-                },
                 "checkpoints": dict(checkpoint_stats) if checkpoint_stats else {},
                 "gc": {
                     "sweeps": self.gc_sweeps,

@@ -757,7 +757,7 @@ class CompositionService:
             self.metrics_store.record_batch_failure(type(exc).__name__, 1)
             error = ServiceError(f"batch execution failed with {type(exc).__name__}: {exc!r}")
             return None, ProblemStatus.FAILED.value, error, time.perf_counter() - started
-        self.metrics_store.record_batch(size=1, cache_stats=report.cache_stats)
+        self.metrics_store.record_batch(size=1)
         (outcome,) = report.items
         error = None if outcome.status is ProblemStatus.SUCCEEDED else _item_error(outcome)
         return outcome.result, outcome.status.value, error, outcome.elapsed_seconds

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from repro.algebra import interning, traversal
+from repro.algebra import traversal
 from repro.algebra.expressions import Relation, Selection, Union
 from repro.algebra.conditions import TrueCondition
 from repro.algebra.simplify import simplify_expression
@@ -72,9 +72,11 @@ class TestDeepChains:
             expression = Selection(expression, TrueCondition())
         assert simplify_expression(expression) == Relation("R", 2)
 
-    def test_simplify_deep_chain_with_cache(self):
+    def test_simplify_deep_chain_twice(self):
         expression = Relation("R", 2)
-        for _ in range(DEPTH):
-            expression = Selection(expression, TrueCondition())
-        with interning.shared_expression_cache():
-            assert simplify_expression(expression) == Relation("R", 2)
+        for _ in range(DEPTH - 1):
+            expression = Union(expression, Relation("S", 2))
+        simplified = simplify_expression(expression)
+        assert simplified is expression  # no rule applies
+        # The warm call finds the stamp on the deep output and walks nothing.
+        assert simplify_expression(simplified) is simplified

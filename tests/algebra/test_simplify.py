@@ -179,24 +179,22 @@ class TestRegistryVersionInvalidation:
     """Registering a rule mid-run must invalidate 'already simplified' marks."""
 
     def test_new_rule_applies_after_registration(self):
-        from repro.algebra import interning
         from repro.operators.registry import OperatorRegistry
 
         registry = OperatorRegistry()
         constraints = ConstraintSet([ContainmentConstraint(Union(R, R), S)])
-        with interning.shared_expression_cache():
-            first = simplify_constraint_set(constraints, registry)
-            # ∪ is idempotent, so the built-in rules already collapse R ∪ R.
-            assert list(first) == [ContainmentConstraint(R, S)]
+        first = simplify_constraint_set(constraints, registry)
+        # ∪ is idempotent, so the built-in rules already collapse R ∪ R.
+        assert list(first) == [ContainmentConstraint(R, S)]
 
-            # A (contrived) rule rewriting the bare relation R to T.
-            def rewrite_r(node):
-                if isinstance(node, Relation) and node.name == "R":
-                    return Relation("T", 2)
-                return None
+        # A (contrived) rule rewriting the bare relation R to T.
+        def rewrite_r(node):
+            if isinstance(node, Relation) and node.name == "R":
+                return Relation("T", 2)
+            return None
 
-            registry.register_operator(Relation, simplification_rule=rewrite_r)
-            second = simplify_constraint_set(first, registry)
-            assert list(second) == [
-                ContainmentConstraint(Relation("T", 2), S)
-            ]
+        registry.register_operator(Relation, simplification_rule=rewrite_r)
+        second = simplify_constraint_set(first, registry)
+        assert list(second) == [
+            ContainmentConstraint(Relation("T", 2), S)
+        ]

@@ -91,17 +91,17 @@ class TestSnapshotCompleteness:
         }
         assert snap["histograms"]["journal_fsync_seconds"]["count"] == 1
 
-    def test_record_batch_feeds_batching_and_cache_sections(self):
+    def test_record_batch_feeds_batching_section(self):
         metrics = ServiceMetrics()
-        metrics.record_batch(4, {"hits": 3, "misses": 1})
-        metrics.record_batch(2, None)  # a batch run with the cache off
+        metrics.record_batch(4)
+        metrics.record_batch(2)
         snap = metrics.snapshot()
         assert snap["batching"] == {
             "batches": 2,
             "batched_items": 6,
             "mean_batch_size": 3.0,
         }
-        assert snap["expression_cache"] == {"hits": 3, "misses": 1, "hit_rate": 0.75}
+        assert "expression_cache" not in snap
 
     def test_unknown_histogram_names_are_dropped_not_raised(self):
         metrics = ServiceMetrics()
@@ -156,7 +156,7 @@ class TestPrometheusExposition:
         metrics.record_submitted()
         metrics.record_completed("succeeded", queue_seconds=0.003, execution_seconds=0.04)
         metrics.observe("journal_fsync_seconds", 0.007)
-        metrics.record_batch(4, {"hits": 3, "misses": 1})
+        metrics.record_batch(4)
         metrics.record_batch_failure("OSError", 2)
         text = metrics.render_prometheus(pending=2, in_flight=1)
         types, samples = _parse_prometheus(text)

@@ -440,8 +440,7 @@ class TestMetrics:
         service.compose_chain(chains[0])
         metrics = service.metrics()
         assert set(metrics) == {
-            "requests", "batching", "latency", "phases", "expression_cache",
-            "checkpoints", "gc", "degradation", "replication", "breaker", "leases",
+            "requests", "batching", "latency", "phases", "checkpoints", "gc", "degradation", "replication", "breaker", "leases",
             "tracing", "histograms",
         }
         assert metrics["requests"]["completed"] == 1
