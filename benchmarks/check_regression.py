@@ -14,9 +14,10 @@ reported but not gated.  What is gated:
 * **work counts must match exactly** — the engine benchmark counts nodes
   summarized, substitution walks, simplify walks, constraint sets built and
   normalization attempts on its acceptance workload and over one editing
-  study; the counts repeat exactly across runs and hash seeds, so a drift
-  means the engine's work changed (refresh the baseline when a change
-  means to);
+  study, and the text benchmark counts nodes summarized and node digests
+  while 64 problem records are parsed and fingerprinted; the counts repeat
+  exactly across runs and hash seeds, so a drift means the work changed
+  (refresh the baseline when a change means to);
 * **scale-free ratios must not regress by more than 25%** — the batch-
   vs-serial, planner, incremental and warm-restart speedups compare two
   measurements taken on the same machine in the same process, so they are
@@ -55,6 +56,7 @@ EXACT_METRICS = {
         "constraint_sets_built",
         "normalize_attempts",
     ),
+    "textio_parse_work": ("records", "nodes_summarized", "node_digests"),
     "engine_partitioned": (
         "problems",
         "components_per_problem",

@@ -33,6 +33,7 @@ from repro.engine import (
     generate_workload,
 )
 from repro.experiments.runner import run_editing_study
+from work_counts import counting_calls
 
 
 def _best_of_interleaved(fns, rounds=9):
@@ -65,55 +66,28 @@ def _best_of_interleaved(fns, rounds=9):
 def _counting_work():
     """Count the engine's units of work while the block runs.
 
-    Wraps, for the duration of the block only, the functions that do one
-    unit each: a node summarized (a leaf summary or a combined one), a
-    substitution walk, a simplify walk, a constraint set built and a
-    normalization attempt (``left_normalize`` / ``right_normalize`` as the
-    compose steps call them).  The wrappers live here, so the library
-    carries no counters; the counts are deterministic for a given workload,
-    so they are gated exactly.
+    Counts the calls of the functions that do one unit each: a node
+    summarized (a leaf summary or a combined one), a substitution walk, a
+    simplify walk, a constraint set built and a normalization attempt
+    (``left_normalize`` / ``right_normalize`` as the compose steps call
+    them).
     """
-    counts = dict.fromkeys(
-        (
-            "nodes_summarized",
-            "substitution_walks",
-            "simplify_walks",
-            "constraint_sets_built",
-            "normalize_attempts",
-        ),
-        0,
-    )
     # ``repro.compose`` re-exports the step functions under the module
     # names, so fetch the modules themselves.
     left_compose = importlib.import_module("repro.compose.left_compose")
     right_compose = importlib.import_module("repro.compose.right_compose")
-    targets = (
-        (summary, "_leaf_summary", "nodes_summarized"),
-        (summary, "_combine", "nodes_summarized"),
-        (traversal, "_substitute", "substitution_walks"),
-        (simplify, "_simplify_dag", "simplify_walks"),
-        (ConstraintSet, "__init__", "constraint_sets_built"),
-        (left_compose, "left_normalize", "normalize_attempts"),
-        (right_compose, "right_normalize", "normalize_attempts"),
-    )
-
-    def counted(fn, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    originals = []
-    for owner, name, key in targets:
-        fn = getattr(owner, name)
-        originals.append((owner, name, fn))
-        setattr(owner, name, counted(fn, key))
-    try:
+    with counting_calls(
+        (
+            (summary, "_leaf_summary", "nodes_summarized"),
+            (summary, "_combine", "nodes_summarized"),
+            (traversal, "_substitute", "substitution_walks"),
+            (simplify, "_simplify_dag", "simplify_walks"),
+            (ConstraintSet, "__init__", "constraint_sets_built"),
+            (left_compose, "left_normalize", "normalize_attempts"),
+            (right_compose, "right_normalize", "normalize_attempts"),
+        )
+    ) as counts:
         yield counts
-    finally:
-        for owner, name, fn in originals:
-            setattr(owner, name, fn)
 
 
 def _acceptance_workload(seed):

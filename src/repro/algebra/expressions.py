@@ -553,43 +553,51 @@ EXTENDED_OPERATOR_TYPES = (SemiJoin, AntiSemiJoin, LeftOuterJoin)
 LEAF_TYPES = (Relation, Domain, Empty, ConstantRelation)
 
 
+#: Per-class structural hash (the generated dataclass ``__hash__``) over the
+#: children's cached hashes; :func:`repro.algebra.summary.node_summary` stores
+#: it on every node it summarizes.
+_STRUCTURAL_HASHES = {}
+
+
 def _install_cached_hash(cls) -> None:
-    """Replace a node class's generated ``__hash__`` with a lazily caching one.
+    """Replace a node class's generated ``__hash__`` with a caching one.
 
     Expressions are immutable trees that the composition algorithm hashes
     constantly (constraint-set dedup, memo tables, substitution maps); the
     generated dataclass hash re-walks the whole tree every time, turning those
-    lookups into the dominant cost at scale.  Computing the structural hash
-    once per node and caching it makes every later hash O(1).
+    lookups into the dominant cost at scale.  Each node's structural hash is
+    computed once, bottom-up, and cached: the summary pass stores it as it
+    summarizes the node, so a hash is an attribute read.  Only a constraint's
+    first hash and a node hashed before it was summarized (an unpickled one,
+    say: pickling drops the salted hash) take the miss path below.
     """
     generated = cls.__hash__
+    # Constraints share this wrapper; their "children" are the two sides.
+    is_expression = issubclass(cls, Expression)
+    if is_expression:
+        _STRUCTURAL_HASHES[cls] = generated
 
-    def __hash__(self, _generated=generated):
+    def __hash__(self, _generated=generated, _is_expression=is_expression):
         try:
             return self._hash_value
         except AttributeError:
             pass
-        try:
-            children = self.children
-        except AttributeError:
-            # Constraints share this wrapper; their "children" are the sides.
-            children = None
-        for child in children if children is not None else (self.left, self.right):
-            if not hasattr(child, "_hash_value"):
+        sides = self.children if _is_expression else (self.left, self.right)
+        for side in sides:
+            if not hasattr(side, "_hash_value"):
                 # A fresh deep tree: the generated hash would recurse through
                 # every unhashed level and can blow the recursion limit on
                 # the operator chains normalization builds.  The summary pass
-                # warms the subtree's hashes iteratively, bottom-up.
+                # hashes the subtree iteratively, bottom-up.
                 from repro.algebra.summary import node_summary
 
-                if children is not None:
-                    node_summary(self)
-                else:
-                    node_summary(self.left)
-                    node_summary(self.right)
+                for root in (self,) if _is_expression else sides:
+                    node_summary(root)
                 break
-        value = _generated(self)
-        object.__setattr__(self, "_hash_value", value)
+        value = getattr(self, "_hash_value", None)
+        if value is None:
+            value = _generated(self)
+            object.__setattr__(self, "_hash_value", value)
         return value
 
     cls.__hash__ = __hash__

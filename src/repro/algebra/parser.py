@@ -11,6 +11,19 @@ signature passed to the parsing functions.  The reserved words are::
     union intersect x select project skolem semijoin antisemijoin
     leftouterjoin D empty const true false and or not
 
+How it works: one compiled-regex call splits a line into token strings, and
+the parser walks that list with an index and an explicit stack, so nesting
+depth is bounded by memory, not by Python's recursion limit.  Token positions
+are worked out only when an error is reported.  Every malformed input raises
+:class:`~repro.exceptions.ParseError` with the offending token's position; a
+line holding a character no token can start with reports that character
+first, wherever the parse stopped.  (A condition nested too deeply to build
+reports position -1.)
+
+All the constraints parsed by one call share their leaves: each distinct
+``(name, arity)`` becomes one :class:`Relation` object (the rewrite engine is
+DAG-aware).  The textio record parsers keep one leaf table per record.
+
 Example
 -------
 >>> from repro.algebra.parser import parse_constraint
@@ -22,7 +35,7 @@ Example
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.algebra.conditions import (
     And,
@@ -52,371 +65,441 @@ from repro.algebra.expressions import (
     Union,
 )
 from repro.algebra.terms import Attribute, Constant
-from repro.exceptions import ParseError
+from repro.constraints.constraint import ContainmentConstraint, EqualityConstraint
+from repro.exceptions import ParseError, ReproError
 
 __all__ = ["parse_expression", "parse_condition", "parse_constraint", "parse_constraints"]
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<string>'(?:\\.|[^'\\])*')
-  | (?P<number>-?\d+\.\d+|-?\d+)
-  | (?P<attr>\#\d+)
-  | (?P<op><=|>=|!=|=|<|>|-|/|\(|\)|\[|\]|,|;)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
-    """,
-    re.VERBOSE,
+#: One token: a name, an operator, a number, a quoted string or an attribute
+#: ``#i``.  The alternatives start with distinct characters, so their order
+#: only sets speed: the most frequent come first.  Whitespace separates
+#: tokens and is dropped.
+_VALID_TOKEN = (
+    r"[A-Za-z_][A-Za-z0-9_.]*"
+    r"|[=/()\[\],;]|<=?|>=?|!="
+    r"|\d+(?:\.\d+)?|-(?:\d+(?:\.\d+)?)?"
+    r"|'(?:\\.|[^'\\])*'"
+    r"|\#\d+"
 )
+_VALID_TOKEN_RE = re.compile(_VALID_TOKEN)
+#: The tokenizer: any other character becomes a one-character token that no
+#: grammar rule accepts, so the parse stops there or earlier.
+_TOKEN_RE = re.compile(_VALID_TOKEN + r"|\S")
 
-_BINARY_KEYWORDS = {"union", "intersect", "x"}
-_JOIN_KEYWORDS = {"semijoin": SemiJoin, "antisemijoin": AntiSemiJoin, "leftouterjoin": LeftOuterJoin}
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_BINARY = {"union": Union, "intersect": Intersection, "x": CrossProduct, "-": Difference}
+_JOINS = {"semijoin": SemiJoin, "antisemijoin": AntiSemiJoin, "leftouterjoin": LeftOuterJoin}
+_COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
 _RESERVED = (
-    _BINARY_KEYWORDS
-    | set(_JOIN_KEYWORDS)
+    set(_BINARY) - {"-"}
+    | set(_JOINS)
     | {"select", "project", "skolem", "D", "empty", "const", "true", "false", "and", "or", "not"}
 )
 
-
-class _Token:
-    __slots__ = ("kind", "value", "position")
-
-    def __init__(self, kind: str, value: str, position: int):
-        self.kind = kind
-        self.value = value
-        self.position = position
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind}, {self.value!r})"
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise ParseError(f"unexpected character {text[position]!r}", position, text)
-        position = match.end()
-        kind = match.lastgroup or ""
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind, match.group(), match.start()))
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+# Tokens that start a primary other than a relation leaf, and the closers
+# of the expression contexts on the parser's stack (a context ends at a
+# token that continues no binary chain).  A unary operator's context closes
+# as ``closer(child, payload)``: Selection, Projection or
+# _skolem_application.  Every node is built when its closing token is read,
+# as a recursive-descent parser would, so the first error raised is the same.
+_OPEN, _SELECT, _PROJECT, _SKOLEM, _JOIN, _DOMAIN, _EMPTY, _CONST = range(8)
+_PRIMARY = {
+    "(": _OPEN,
+    "select": _SELECT,
+    "project": _PROJECT,
+    "skolem": _SKOLEM,
+    "semijoin": _JOIN,
+    "antisemijoin": _JOIN,
+    "leftouterjoin": _JOIN,
+    "D": _DOMAIN,
+    "empty": _EMPTY,
+    "const": _CONST,
+}
+_PAREN, _JOIN_LEFT, _JOIN_RIGHT = object(), object(), object()
 
 
-class _Parser:
-    """Recursive-descent parser over the token stream."""
+class _Syntax(Exception):
+    """A parse error at token ``index``; turned into a located ParseError."""
 
-    def __init__(self, text: str, signature=None):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.signature = signature
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+        self.message = message
 
-    # -- token helpers ------------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+def _unexpected_character(text: str):
+    """The error for the first character of ``text`` no token can start with, or ``None``."""
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group()
+        if _VALID_TOKEN_RE.fullmatch(token) is None:
+            return ParseError(f"unexpected character {token!r}", match.start(), text)
+    return None
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
 
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind or (value is not None and token.value != value):
-            expected = value if value is not None else kind
-            raise ParseError(
-                f"expected {expected!r} but found {token.value!r}", token.position, self.text
-            )
-        return self.advance()
+def _located(text: str, error: _Syntax) -> ParseError:
+    """The :class:`ParseError` for ``error``, with a character position.
 
-    def at(self, kind: str, value: Optional[str] = None) -> bool:
-        token = self.peek()
-        return token.kind == kind and (value is None or token.value == value)
+    An unexpected character anywhere in the line is reported in its place,
+    as a tokenizer that reads the whole line before parsing would.
+    """
+    unexpected = _unexpected_character(text)
+    if unexpected is not None:
+        return unexpected
+    for number, match in enumerate(_TOKEN_RE.finditer(text)):
+        if number == error.index:
+            return ParseError(error.message, match.start(), text)
+    return ParseError(error.message, len(text), text)
 
-    def error(self, message: str) -> ParseError:
-        token = self.peek()
-        return ParseError(message, token.position, self.text)
 
-    # -- literals -----------------------------------------------------------
+def _expected(tokens: List[str], index: int, value: str) -> _Syntax:
+    return _Syntax(index, f"expected {value!r} but found {tokens[index]!r}")
 
-    def parse_literal(self) -> object:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return float(token.value) if "." in token.value else int(token.value)
-        if token.kind == "string":
-            self.advance()
-            body = token.value[1:-1]
-            return body.replace("\\'", "'").replace("\\\\", "\\")
-        raise self.error(f"expected a literal value, found {token.value!r}")
 
-    # -- conditions ---------------------------------------------------------
+def _open(tokens: List[str], index: int) -> int:
+    """The index after the ``(`` expected at ``index``."""
+    if tokens[index] != "(":
+        raise _expected(tokens, index, "(")
+    return index + 1
 
-    def parse_condition(self) -> Condition:
-        return self._parse_or()
 
-    def _parse_or(self) -> Condition:
-        operands = [self._parse_and()]
-        while self.at("name", "or"):
-            self.advance()
-            operands.append(self._parse_and())
-        return operands[0] if len(operands) == 1 else Or(*operands)
+def _is_number(token: str) -> bool:
+    first = token[:1]
+    return first.isdecimal() or (first == "-" and len(token) > 1)
 
-    def _parse_and(self) -> Condition:
-        operands = [self._parse_condition_atom()]
-        while self.at("name", "and"):
-            self.advance()
-            operands.append(self._parse_condition_atom())
-        return operands[0] if len(operands) == 1 else And(*operands)
 
-    def _parse_condition_atom(self) -> Condition:
-        if self.at("name", "true"):
-            self.advance()
-            return TRUE
-        if self.at("name", "false"):
-            self.advance()
-            return FALSE
-        if self.at("name", "not"):
-            self.advance()
-            self.expect("op", "(")
-            inner = self._parse_or()
-            self.expect("op", ")")
-            return Not(inner)
-        if self.at("op", "("):
-            self.advance()
-            inner = self._parse_or()
-            self.expect("op", ")")
-            return inner
-        return self._parse_comparison()
+def _number(index: int, token: str, integer: bool = True):
+    """``token`` (at ``index``) as an int, or as a float when ``integer`` is false."""
+    try:
+        return int(token) if integer else float(token)
+    except ValueError:  # more digits than ``int()`` converts
+        raise _Syntax(index, f"invalid number {token!r}") from None
 
-    def _parse_term(self):
-        token = self.peek()
-        if token.kind == "attr":
-            self.advance()
-            return Attribute(int(token.value[1:]))
-        return Constant(self.parse_literal())
 
-    def _parse_comparison(self) -> Comparison:
-        left = self._parse_term()
-        token = self.peek()
-        if token.kind != "op" or token.value not in {"=", "!=", "<", "<=", ">", ">="}:
-            raise self.error(f"expected a comparison operator, found {token.value!r}")
-        self.advance()
-        right = self._parse_term()
-        return Comparison(left, token.value, right)
+def _integer(tokens: List[str], index: int) -> int:
+    token = tokens[index]
+    try:
+        # Only an integer token converts: every other token starts with a
+        # letter, an underscore or a symbol, or holds a decimal point.
+        return int(token)
+    except ValueError:
+        pass
+    if not _is_number(token):
+        raise _Syntax(index, f"expected 'number' but found {token!r}")
+    if "." in token:
+        raise _Syntax(index, f"expected an integer, found {token!r}")
+    return _number(index, token)
 
-    # -- expressions --------------------------------------------------------
 
-    def parse_expression(self) -> Expression:
-        left = self.parse_primary()
-        while True:
-            token = self.peek()
-            if token.kind == "name" and token.value in _BINARY_KEYWORDS:
-                self.advance()
-                right = self.parse_primary()
-                if token.value == "union":
-                    left = Union(left, right)
-                elif token.value == "intersect":
-                    left = Intersection(left, right)
-                else:
-                    left = CrossProduct(left, right)
-            elif token.kind == "op" and token.value == "-":
-                self.advance()
-                right = self.parse_primary()
-                left = Difference(left, right)
-            else:
-                return left
+def _literal(tokens: List[str], index: int) -> object:
+    token = tokens[index]
+    if token[:1] == "'" and len(token) > 1:
+        return token[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+    if _is_number(token):
+        return _number(index, token, "." not in token)
+    raise _Syntax(index, f"expected a literal value, found {token!r}")
 
-    def parse_primary(self) -> Expression:
-        token = self.peek()
-        if token.kind == "op" and token.value == "(":
-            self.advance()
-            inner = self.parse_expression()
-            self.expect("op", ")")
-            return inner
-        if token.kind != "name":
-            raise self.error(f"expected an expression, found {token.value!r}")
-        name = token.value
-        if name == "select":
-            return self._parse_select()
-        if name == "project":
-            return self._parse_project()
-        if name == "skolem":
-            return self._parse_skolem()
-        if name in _JOIN_KEYWORDS:
-            return self._parse_join(name)
-        if name == "D":
-            return self._parse_domain()
-        if name == "empty":
-            return self._parse_empty()
-        if name == "const":
-            return self._parse_constant_relation()
-        return self._parse_relation()
 
-    def _parse_index_list(self) -> Tuple[int, ...]:
-        self.expect("op", "[")
-        indices: List[int] = []
-        if not self.at("op", "]"):
-            while True:
-                token = self.expect("number")
-                indices.append(int(token.value))
-                if self.at("op", ","):
-                    self.advance()
-                    continue
-                break
-        self.expect("op", "]")
-        return tuple(indices)
+def _term(tokens: List[str], index: int):
+    token = tokens[index]
+    if token[:1] == "#" and len(token) > 1:
+        return Attribute(_number(index, token[1:]))
+    return Constant(_literal(tokens, index))
 
-    def _parse_select(self) -> Expression:
-        self.expect("name", "select")
-        self.expect("op", "[")
-        condition = self.parse_condition()
-        self.expect("op", "]")
-        self.expect("op", "(")
-        child = self.parse_expression()
-        self.expect("op", ")")
-        return Selection(child, condition)
 
-    def _parse_project(self) -> Expression:
-        self.expect("name", "project")
-        indices = self._parse_index_list()
-        self.expect("op", "(")
-        child = self.parse_expression()
-        self.expect("op", ")")
-        return Projection(child, indices)
-
-    def _parse_skolem(self) -> Expression:
-        self.expect("name", "skolem")
-        name_token = self.expect("name")
-        depends_on = self._parse_index_list()
-        self.expect("op", "(")
-        child = self.parse_expression()
-        self.expect("op", ")")
-        return SkolemApplication(child, SkolemFunction(name_token.value, depends_on))
-
-    def _parse_join(self, keyword: str) -> Expression:
-        node_type = _JOIN_KEYWORDS[keyword]
-        self.expect("name", keyword)
-        self.expect("op", "[")
-        condition = self.parse_condition()
-        self.expect("op", "]")
-        self.expect("op", "(")
-        left = self.parse_expression()
-        self.expect("op", ",")
-        right = self.parse_expression()
-        self.expect("op", ")")
-        return node_type(left, right, condition)
-
-    def _parse_domain(self) -> Expression:
-        self.expect("name", "D")
-        self.expect("op", "(")
-        arity = int(self.expect("number").value)
-        self.expect("op", ")")
-        return Domain(arity)
-
-    def _parse_empty(self) -> Expression:
-        self.expect("name", "empty")
-        self.expect("op", "(")
-        arity = int(self.expect("number").value)
-        self.expect("op", ")")
-        return Empty(arity)
-
-    def _parse_constant_relation(self) -> Expression:
-        self.expect("name", "const")
-        self.expect("op", "(")
-        rows: List[Tuple[object, ...]] = []
-        while True:
-            self.expect("op", "(")
-            values: List[object] = []
-            while True:
-                values.append(self.parse_literal())
-                if self.at("op", ","):
-                    self.advance()
-                    continue
-                break
-            self.expect("op", ")")
-            rows.append(tuple(values))
-            if self.at("op", ";"):
-                self.advance()
-                continue
+def _index_list(tokens: List[str], index: int) -> Tuple[Tuple[int, ...], int]:
+    """``[i, j, ...]`` starting at ``index``; returns the indices and the next index."""
+    if tokens[index] != "[":
+        raise _expected(tokens, index, "[")
+    index += 1
+    if tokens[index] == "]":
+        return (), index + 1
+    values = []
+    while True:
+        values.append(_integer(tokens, index))
+        index += 1
+        if tokens[index] != ",":
             break
-        self.expect("op", ")")
-        arity = len(rows[0])
-        return ConstantRelation(tuples=tuple(rows), constant_arity=arity)
+        index += 1
+    if tokens[index] != "]":
+        raise _expected(tokens, index, "]")
+    return tuple(values), index + 1
 
-    def _parse_relation(self) -> Expression:
-        token = self.expect("name")
-        name = token.value
-        if name in _RESERVED:
-            raise ParseError(f"{name!r} is a reserved word", token.position, self.text)
-        if self.at("op", "/"):
-            self.advance()
-            arity = int(self.expect("number").value)
-            return Relation(name, arity)
-        if self.signature is not None and name in self.signature:
-            return Relation(name, self.signature.arity_of(name))
-        raise ParseError(
-            f"relation {name!r} has no inline arity (use {name}/<arity>) and is not in the signature",
-            token.position,
-            self.text,
-        )
 
-    # -- constraints --------------------------------------------------------
+def _condition(tokens: List[str], index: int) -> Tuple[Condition, int]:
+    """A condition starting at ``index``; returns it and the next index.
 
-    def parse_constraint(self):
-        from repro.constraints.constraint import ContainmentConstraint, EqualityConstraint
+    Grammar: ``or := and ('or' and)*``, ``and := atom ('and' atom)*`` and
+    ``atom := true | false | not (or) | (or) | term op term``.  Each open
+    parenthesis saves the enclosing disjunction and conjunction on a stack.
+    """
+    stack = []
+    disjuncts: List[Condition] = []
+    conjuncts: List[Condition] = []
+    while True:
+        token = tokens[index]
+        if token == "true":
+            atom = TRUE
+            index += 1
+        elif token == "false":
+            atom = FALSE
+            index += 1
+        elif token == "not" or token == "(":
+            if token == "not":
+                index += 1
+                if tokens[index] != "(":
+                    raise _expected(tokens, index, "(")
+            stack.append((token == "not", disjuncts, conjuncts))
+            disjuncts, conjuncts = [], []
+            index += 1
+            continue
+        else:
+            left = _term(tokens, index)
+            op = tokens[index + 1]
+            if op not in _COMPARISONS:
+                raise _Syntax(index + 1, f"expected a comparison operator, found {op!r}")
+            atom = Comparison(left, op, _term(tokens, index + 2))
+            index += 3
+        # Fold the atom in, closing every group that ends here.
+        while True:
+            conjuncts.append(atom)
+            token = tokens[index]
+            if token == "and":
+                break
+            disjuncts.append(conjuncts[0] if len(conjuncts) == 1 else And(*conjuncts))
+            if token == "or":
+                conjuncts = []
+                break
+            inner = disjuncts[0] if len(disjuncts) == 1 else Or(*disjuncts)
+            if not stack:
+                return inner, index
+            if token != ")":
+                raise _expected(tokens, index, ")")
+            index += 1
+            negated, disjuncts, conjuncts = stack.pop()
+            atom = Not(inner) if negated else inner
+        index += 1
 
-        left = self.parse_expression()
-        token = self.peek()
-        if token.kind != "op" or token.value not in {"<=", ">=", "="}:
-            raise self.error(f"expected '<=', '>=' or '=', found {token.value!r}")
-        self.advance()
-        right = self.parse_expression()
-        if token.value == "<=":
-            return ContainmentConstraint(left, right)
-        if token.value == ">=":
-            return ContainmentConstraint(right, left)
-        return EqualityConstraint(left, right)
+
+def _condition_in_brackets(tokens: List[str], index: int) -> Tuple[Condition, int]:
+    """``[condition](`` starting at ``index``; returns the condition and the next index."""
+    if tokens[index] != "[":
+        raise _expected(tokens, index, "[")
+    condition, index = _condition(tokens, index + 1)
+    if tokens[index] != "]":
+        raise _expected(tokens, index, "]")
+    return condition, _open(tokens, index + 1)
+
+
+def _constant_relation(tokens: List[str], index: int) -> Tuple[Expression, int]:
+    """``(row; row ...)`` after ``const``; returns the relation and the next index."""
+    index = _open(tokens, index)
+    rows = []
+    while True:
+        index = _open(tokens, index)
+        values = [_literal(tokens, index)]
+        index += 1
+        while tokens[index] == ",":
+            values.append(_literal(tokens, index + 1))
+            index += 2
+        if tokens[index] != ")":
+            raise _expected(tokens, index, ")")
+        rows.append(tuple(values))
+        index += 1
+        if tokens[index] != ";":
+            break
+        index += 1
+    if tokens[index] != ")":
+        raise _expected(tokens, index, ")")
+    return ConstantRelation(tuples=tuple(rows), constant_arity=len(rows[0])), index + 1
+
+
+def _arity_call(tokens: List[str], index: int) -> Tuple[int, int]:
+    """``(n)`` starting at ``index``; returns ``n`` and the next index."""
+    index = _open(tokens, index)
+    value = _integer(tokens, index)
+    if tokens[index + 1] != ")":
+        raise _expected(tokens, index + 1, ")")
+    return value, index + 2
+
+
+def _skolem_application(child: Expression, function: Tuple[str, Tuple[int, ...]]):
+    return SkolemApplication(child, SkolemFunction(*function))
+
+
+class _Reader:
+    """Parses lines into the algebra, sharing one leaf table across them."""
+
+    __slots__ = ("signature", "leaves")
+
+    def __init__(self, signature=None):
+        self.signature = signature
+        self.leaves: Dict[Tuple[str, int], Relation] = {}
+
+    def expression(self, tokens: List[str], index: int) -> Tuple[Expression, int]:
+        """An expression starting at ``index``; returns it and the next index.
+
+        ``E := primary (binop primary)*`` (left-associative).  A primary that
+        opens a parenthesis pushes the enclosing context — its closer and
+        payload, the left operand so far and the pending binary operator —
+        and the loop goes on inside it.
+        """
+        leaves = self.leaves
+        stack = []
+        left = binary = None
+        while True:
+            token = tokens[index]
+            code = _PRIMARY.get(token)
+            if code is None:
+                if token[:1] not in _NAME_START:
+                    raise _Syntax(index, f"expected an expression, found {token!r}")
+                if token in _RESERVED:
+                    raise _Syntax(index, f"{token!r} is a reserved word")
+                if tokens[index + 1] == "/":
+                    arity = _integer(tokens, index + 2)
+                    index += 3
+                else:
+                    signature = self.signature
+                    if signature is None or token not in signature:
+                        raise _Syntax(
+                            index,
+                            f"relation {token!r} has no inline arity (use {token}/<arity>) "
+                            "and is not in the signature",
+                        )
+                    arity = signature.arity_of(token)
+                    index += 1
+                key = (token, arity)
+                value = leaves.get(key)
+                if value is None:
+                    value = leaves[key] = Relation(token, arity)
+            elif code == _CONST:
+                value, index = _constant_relation(tokens, index + 1)
+            elif code == _DOMAIN or code == _EMPTY:
+                arity, index = _arity_call(tokens, index + 1)
+                value = Domain(arity) if code == _DOMAIN else Empty(arity)
+            else:
+                # An operator whose operands follow in parentheses: push a
+                # context and parse on inside it.
+                if code == _OPEN:
+                    closer, payload, index = _PAREN, None, index + 1
+                elif code == _PROJECT:
+                    payload, index = _index_list(tokens, index + 1)
+                    closer, index = Projection, _open(tokens, index)
+                elif code == _SELECT:
+                    payload, index = _condition_in_brackets(tokens, index + 1)
+                    closer = Selection
+                elif code == _JOIN:
+                    condition, index = _condition_in_brackets(tokens, index + 1)
+                    closer, payload = _JOIN_LEFT, (_JOINS[token], condition)
+                else:
+                    name = tokens[index + 1]
+                    if name[:1] not in _NAME_START:
+                        raise _expected(tokens, index + 1, "name")
+                    depends_on, index = _index_list(tokens, index + 2)
+                    closer, payload = _skolem_application, (name, depends_on)
+                    index = _open(tokens, index)
+                stack.append((closer, payload, left, binary))
+                left = binary = None
+                continue
+            # Fold the primary in, closing every context that ends here.
+            while True:
+                left = value if binary is None else binary(left, value)
+                token = tokens[index]
+                binary = _BINARY.get(token)
+                if binary is not None:
+                    break
+                if not stack:
+                    return left, index
+                closer, payload, outer_left, outer_binary = stack.pop()
+                if closer is _JOIN_LEFT:
+                    if token != ",":
+                        raise _expected(tokens, index, ",")
+                    stack.append((_JOIN_RIGHT, payload + (left,), outer_left, outer_binary))
+                    left = None
+                    break
+                if token != ")":
+                    raise _expected(tokens, index, ")")
+                index += 1
+                if closer is _PAREN:
+                    value = left
+                elif closer is _JOIN_RIGHT:
+                    node_type, condition, join_left = payload
+                    value = node_type(join_left, left, condition)
+                else:
+                    value = closer(left, payload)
+                left, binary = outer_left, outer_binary
+            index += 1
+
+    def constraint(self, tokens: List[str], index: int):
+        """A constraint (``E1 <= E2``, ``E1 >= E2`` or ``E1 = E2``) starting at ``index``."""
+        left, index = self.expression(tokens, index)
+        op = tokens[index]
+        if op not in ("=", "<=", ">="):
+            raise _Syntax(index, f"expected '<=', '>=' or '=', found {op!r}")
+        right, index = self.expression(tokens, index + 1)
+        if op == "=":
+            return EqualityConstraint(left, right), index
+        if op == "<=":
+            return ContainmentConstraint(left, right), index
+        return ContainmentConstraint(right, left), index
+
+    def constraint_line(self, text: str):
+        """Parse ``text`` as one whole constraint."""
+        return _parse_whole(text, self.constraint)
+
+
+def _parse_whole(text: str, parse):
+    """Run ``parse(tokens, 0)`` over ``text``, which it must consume entirely."""
+    tokens = _TOKEN_RE.findall(text)
+    # End of input reads as "": no rule accepts it, and a lookahead at the
+    # last token never runs off the list.
+    tokens.append("")
+    try:
+        value, index = parse(tokens, 0)
+        if tokens[index]:
+            raise _expected(tokens, index, "eof")
+    except _Syntax as error:
+        raise _located(text, error) from None
+    except RecursionError:
+        # Conditions are recursive objects: a condition nested thousands
+        # deep cannot be built, however it is parsed.
+        raise ParseError("input nests too deeply", -1, text) from None
+    except ReproError:
+        # Building a node can fail (an arity error, say) before the parse
+        # reaches an unexpected character, which takes precedence.
+        unexpected = _unexpected_character(text)
+        if unexpected is not None:
+            raise unexpected from None
+        raise
+    return value
 
 
 def parse_expression(text: str, signature=None) -> Expression:
     """Parse a single expression from ``text``."""
-    parser = _Parser(text, signature)
-    expression = parser.parse_expression()
-    parser.expect("eof")
-    return expression
+    return _parse_whole(text, _Reader(signature).expression)
 
 
 def parse_condition(text: str) -> Condition:
     """Parse a selection condition from ``text``."""
-    parser = _Parser(text)
-    condition = parser.parse_condition()
-    parser.expect("eof")
-    return condition
+    return _parse_whole(text, _condition)
 
 
 def parse_constraint(text: str, signature=None):
     """Parse a single constraint (``E1 <= E2``, ``E1 >= E2`` or ``E1 = E2``)."""
-    parser = _Parser(text, signature)
-    constraint = parser.parse_constraint()
-    parser.expect("eof")
-    return constraint
+    return _Reader(signature).constraint_line(text)
 
 
 def parse_constraints(text: str, signature=None) -> list:
     """Parse one constraint per non-empty, non-comment line of ``text``.
 
-    Lines starting with ``#`` are treated as comments.
+    Lines starting with ``#`` are treated as comments.  The constraints share
+    one leaf table.
     """
+    reader = _Reader(signature)
     constraints = []
     for line in text.splitlines():
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        constraints.append(parse_constraint(stripped, signature))
+        constraints.append(reader.constraint_line(stripped))
     return constraints

@@ -25,6 +25,12 @@ Paper                     Text syntax
 ========================  =============================================
 
 All attribute indices are 0-based.
+
+:func:`expression_to_text` keeps an explicit stack, so an expression of any
+depth renders (the algebra's operator chains reach thousands of nodes), and
+:mod:`repro.algebra.parser` reads it back at the same depth.  Conditions
+render recursively: condition objects are themselves recursive, and real
+ones nest a few levels at most.
 """
 
 from __future__ import annotations
@@ -98,35 +104,78 @@ def _render_constant_relation(expression: ConstantRelation) -> str:
     return "const(" + "; ".join(rows) + ")"
 
 
+#: Binary operators written infix between parentheses, with their keyword.
+_INFIX = {
+    Union: " union ",
+    Intersection: " intersect ",
+    Difference: " - ",
+    CrossProduct: " x ",
+}
+
+
 def expression_to_text(expression: Expression) -> str:
-    """Render an expression in the textual syntax used throughout the library."""
+    """Render an expression in the textual syntax used throughout the library.
+
+    The walk is iterative.  It descends along first operands, emitting each
+    operator's opening text, and keeps what follows the current node on a
+    stack (closing text and pending operands, last first).
+    """
     if isinstance(expression, Relation):
         return f"{expression.name}/{expression.arity}"
-    if isinstance(expression, Domain):
-        return f"D({expression.arity})"
-    if isinstance(expression, Empty):
-        return f"empty({expression.arity})"
-    if isinstance(expression, ConstantRelation):
-        return _render_constant_relation(expression)
-    if isinstance(expression, Union):
-        return f"({expression_to_text(expression.left)} union {expression_to_text(expression.right)})"
-    if isinstance(expression, Intersection):
-        return f"({expression_to_text(expression.left)} intersect {expression_to_text(expression.right)})"
-    if isinstance(expression, Difference):
-        return f"({expression_to_text(expression.left)} - {expression_to_text(expression.right)})"
-    if isinstance(expression, CrossProduct):
-        return f"({expression_to_text(expression.left)} x {expression_to_text(expression.right)})"
-    if isinstance(expression, Selection):
-        return f"select[{condition_to_text(expression.condition)}]({expression_to_text(expression.child)})"
-    if isinstance(expression, Projection):
-        indices = ",".join(str(index) for index in expression.indices)
-        return f"project[{indices}]({expression_to_text(expression.child)})"
-    if isinstance(expression, SkolemApplication):
-        deps = ",".join(str(index) for index in expression.function.depends_on)
-        return f"skolem {expression.function.name}[{deps}]({expression_to_text(expression.child)})"
-    if isinstance(expression, (SemiJoin, AntiSemiJoin, LeftOuterJoin)):
-        return (
-            f"{expression.operator_name}[{condition_to_text(expression.condition)}]"
-            f"({expression_to_text(expression.left)}, {expression_to_text(expression.right)})"
-        )
-    raise ExpressionError(f"cannot render expression of type {type(expression).__name__}")
+    parts = []
+    emit = parts.append
+    pending = []
+    push = pending.append
+    node = expression
+    while True:
+        if isinstance(node, Relation):
+            emit(f"{node.name}/{node.arity}")
+        elif isinstance(node, Projection):
+            emit(f"project[{','.join(map(str, node.indices))}](")
+            push(")")
+            node = node.child
+            continue
+        elif isinstance(node, Selection):
+            emit(f"select[{condition_to_text(node.condition)}](")
+            push(")")
+            node = node.child
+            continue
+        elif isinstance(node, (Union, Intersection, Difference, CrossProduct)):
+            emit("(")
+            push(")")
+            push(node.right)
+            push(
+                _INFIX.get(node.__class__)
+                or next(word for node_type, word in _INFIX.items() if isinstance(node, node_type))
+            )
+            node = node.left
+            continue
+        elif isinstance(node, Domain):
+            emit(f"D({node.arity})")
+        elif isinstance(node, Empty):
+            emit(f"empty({node.arity})")
+        elif isinstance(node, ConstantRelation):
+            emit(_render_constant_relation(node))
+        elif isinstance(node, SkolemApplication):
+            deps = ",".join(map(str, node.function.depends_on))
+            emit(f"skolem {node.function.name}[{deps}](")
+            push(")")
+            node = node.child
+            continue
+        elif isinstance(node, (SemiJoin, AntiSemiJoin, LeftOuterJoin)):
+            emit(f"{node.operator_name}[{condition_to_text(node.condition)}](")
+            push(")")
+            push(node.right)
+            push(", ")
+            node = node.left
+            continue
+        else:
+            raise ExpressionError(f"cannot render expression of type {type(node).__name__}")
+        # The node is rendered: emit the text after it, up to the next operand.
+        while pending:
+            node = pending.pop()
+            if node.__class__ is not str:
+                break
+            emit(node)
+        else:
+            return "".join(parts)

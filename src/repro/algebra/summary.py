@@ -10,9 +10,9 @@ tree walk made the guards themselves a hot path.
 :func:`node_summary` computes every one of those facts in a single iterative
 bottom-up pass and stores the result directly on the node, so every later
 query — on the node or on any of its subtrees — is an attribute read.  The
-pass also warms the node's cached structural hash while the children's hashes
-are known, which keeps hashing shallow (no recursion) even for the very deep
-Union/Intersection chains that left- and right-normalization produce.
+pass also stores the node's structural hash, computed from the children's
+cached hashes, which keeps hashing shallow (no recursion) even for the very
+deep Union/Intersection chains that left- and right-normalization produce.
 
 Summaries are structural (no per-process salting), so they survive pickling.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import FrozenSet, NamedTuple
 
 from repro.algebra.expressions import (
+    _STRUCTURAL_HASHES,
     Domain,
     Empty,
     Expression,
@@ -46,19 +47,19 @@ class NodeSummary(NamedTuple):
     contains_empty: bool
 
 
+#: Builds a NodeSummary from a tuple without a Python-level ``__new__`` call
+#: (every node pays for one summary).
+_new_summary = tuple.__new__
+
+
 def _leaf_summary(node: Expression) -> NodeSummary:
     if isinstance(node, Relation):
-        names = frozenset((node.name,))
-    else:
-        names = _EMPTY_NAMES
-    return NodeSummary(
-        operator_count=0,
-        node_count=1,
-        depth=1,
-        relation_names=names,
-        contains_skolem=False,
-        contains_domain=isinstance(node, Domain),
-        contains_empty=isinstance(node, Empty),
+        return _new_summary(
+            NodeSummary, (0, 1, 1, frozenset((node.name,)), False, False, False)
+        )
+    return _new_summary(
+        NodeSummary,
+        (0, 1, 1, _EMPTY_NAMES, False, isinstance(node, Domain), isinstance(node, Empty)),
     )
 
 
@@ -72,20 +73,24 @@ def _combine(node: Expression, children: tuple) -> NodeSummary:
     skolem = isinstance(node, SkolemApplication)
     if len(children) == 1:
         ops, nodes, depth, names, child_skolem, domain, empty = children[0]._summary
-        return NodeSummary(
-            ops + 1, nodes + 1, depth + 1, names, skolem or child_skolem, domain, empty
+        return _new_summary(
+            NodeSummary,
+            (ops + 1, nodes + 1, depth + 1, names, skolem or child_skolem, domain, empty),
         )
     if len(children) == 2:
         l_ops, l_nodes, l_depth, l_names, l_skolem, l_domain, l_empty = children[0]._summary
         r_ops, r_nodes, r_depth, r_names, r_skolem, r_domain, r_empty = children[1]._summary
-        return NodeSummary(
-            l_ops + r_ops + 1,
-            l_nodes + r_nodes + 1,
-            (l_depth if l_depth > r_depth else r_depth) + 1,
-            l_names | r_names,
-            skolem or l_skolem or r_skolem,
-            l_domain or r_domain,
-            l_empty or r_empty,
+        return _new_summary(
+            NodeSummary,
+            (
+                l_ops + r_ops + 1,
+                l_nodes + r_nodes + 1,
+                (l_depth if l_depth > r_depth else r_depth) + 1,
+                l_names | r_names,
+                skolem or l_skolem or r_skolem,
+                l_domain or r_domain,
+                l_empty or r_empty,
+            ),
         )
     summaries = [child._summary for child in children]
     return NodeSummary(
@@ -99,15 +104,25 @@ def _combine(node: Expression, children: tuple) -> NodeSummary:
     )
 
 
+def _store(node: Expression, summary: NodeSummary, _setattr=object.__setattr__) -> None:
+    """Cache ``summary`` and the structural hash on ``node`` (children done)."""
+    _setattr(node, "_summary", summary)
+    structural_hash = _STRUCTURAL_HASHES.get(node.__class__)
+    if structural_hash is None:
+        hash(node)  # a user-defined operator type hashes itself
+    else:
+        _setattr(node, "_hash_value", structural_hash(node))
+
+
 def node_summary(expression: Expression) -> NodeSummary:
     """Return the cached :class:`NodeSummary` of ``expression``, computing it once.
 
     A node whose children are all summarized already (every node a rewrite
     rebuilds) is summarized directly.  Otherwise the computation is iterative
-    (explicit stack), shares work across DAG-shaped trees (a subtree reached
-    twice is summarized once), and warms the cached structural hash of every
-    node it visits so later dictionary operations never recurse through the
-    tree.
+    (explicit stack) and shares work across DAG-shaped trees (a subtree
+    reached twice is summarized once).  Every node summarized also gets its
+    cached structural hash, so later dictionary operations never recurse
+    through the tree.
     """
     summary = getattr(expression, "_summary", None)
     if summary is not None:
@@ -118,11 +133,9 @@ def node_summary(expression: Expression) -> NodeSummary:
             break
     else:
         summary = _combine(expression, children) if children else _leaf_summary(expression)
-        object.__setattr__(expression, "_summary", summary)
-        hash(expression)
+        _store(expression, summary)
         return summary
 
-    setattr_ = object.__setattr__
     stack = [(expression, False)]
     while stack:
         node, ready = stack.pop()
@@ -131,14 +144,12 @@ def node_summary(expression: Expression) -> NodeSummary:
         if not ready:
             children = node.children
             if not children:
-                setattr_(node, "_summary", _leaf_summary(node))
-                hash(node)
+                _store(node, _leaf_summary(node))
                 continue
             stack.append((node, True))
             for child in children:
                 stack.append((child, False))
         else:
-            setattr_(node, "_summary", _combine(node, node.children))
             # Children hashes are cached by now, so this stays shallow.
-            hash(node)
+            _store(node, _combine(node, node.children))
     return expression._summary

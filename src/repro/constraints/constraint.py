@@ -33,18 +33,20 @@ class Constraint:
     left: Expression
     right: Expression
 
+    # Cached on first read (class-level ``None`` until then).
+    _relation_names = None
+    _operator_count = None
+
     # -- symbol queries -------------------------------------------------------
 
     def relation_names(self) -> FrozenSet[str]:
         """All base relation symbols mentioned on either side (cached)."""
-        try:
-            return self._relation_names
-        except AttributeError:
-            pass
-        names = node_summary(self.left).relation_names | node_summary(
-            self.right
-        ).relation_names
-        object.__setattr__(self, "_relation_names", names)
+        names = self._relation_names
+        if names is None:
+            names = node_summary(self.left).relation_names | node_summary(
+                self.right
+            ).relation_names
+            object.__setattr__(self, "_relation_names", names)
         return names
 
     def mentions(self, name: str) -> bool:
@@ -85,14 +87,12 @@ class Constraint:
 
     def operator_count(self) -> int:
         """Number of operator nodes on both sides (the paper's size metric, cached)."""
-        try:
-            return self._operator_count
-        except AttributeError:
-            pass
-        count = node_summary(self.left).operator_count + node_summary(
-            self.right
-        ).operator_count
-        object.__setattr__(self, "_operator_count", count)
+        count = self._operator_count
+        if count is None:
+            count = node_summary(self.left).operator_count + node_summary(
+                self.right
+            ).operator_count
+            object.__setattr__(self, "_operator_count", count)
         return count
 
     def digest(self) -> bytes:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.algebra.parser import parse_constraint
+from repro.algebra.parser import _Reader
 from repro.constraints.constraint_set import ConstraintSet
 from repro.exceptions import ParseError
 from repro.mapping.composition_problem import CompositionProblem
@@ -72,66 +72,70 @@ def problem_to_text(problem: CompositionProblem) -> str:
 
 def _parse_relation_line(line: str) -> RelationSchema:
     parts = line.split()
-    head = parts[0]
-    if "/" not in head:
+    name, slash, arity_text = parts[0].partition("/")
+    if not slash:
         raise ParseError(f"expected 'name/arity' in relation declaration, got {line!r}")
-    name, arity_text = head.split("/", 1)
     try:
         arity = int(arity_text)
     except ValueError:
         raise ParseError(f"invalid arity in relation declaration {line!r}") from None
     key: Optional[Tuple[int, ...]] = None
     for extra in parts[1:]:
-        if extra.startswith("key="):
-            key = tuple(int(piece) for piece in extra[4:].split(",") if piece)
-        else:
+        if not extra.startswith("key="):
             raise ParseError(f"unexpected token {extra!r} in relation declaration {line!r}")
+        try:
+            key = tuple(int(piece) for piece in extra[4:].split(",") if piece)
+        except ValueError:
+            raise ParseError(f"invalid key in relation declaration {line!r}") from None
     return RelationSchema(name, arity, key)
 
 
+def _parse_signature(lines: List[str]) -> Signature:
+    return Signature([_parse_relation_line(line) for line in lines])
+
+
 def problem_from_text(text: str) -> CompositionProblem:
-    """Parse a composition problem from the plain-text format."""
+    """Parse a composition problem from the plain-text format.
+
+    The constraints of both sets share one leaf table: each distinct
+    relation ``name/arity`` becomes one :class:`Relation` object.
+    """
     sections: Dict[str, List[str]] = {section: [] for section in _SECTIONS}
     name = ""
     description = ""
-    current: Optional[str] = None
+    current: Optional[List[str]] = None
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        first = line[0]
+        if first == "#":
             comment = line[1:].strip()
             if comment.lower().startswith("name:"):
                 name = comment[5:].strip()
             elif comment.lower().startswith("description:"):
                 description = comment[12:].strip()
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if first == "[" and line[-1] == "]":
             section = line[1:-1].strip()
-            if section not in sections:
+            current = sections.get(section)
+            if current is None:
                 raise ParseError(f"unknown section {section!r}")
-            current = section
             continue
         if current is None:
             raise ParseError(f"content outside any section: {line!r}")
-        sections[current].append(line)
+        current.append(line)
 
-    signatures = {}
-    for section in ("sigma1", "sigma2", "sigma3"):
-        signatures[section] = Signature(
-            _parse_relation_line(line) for line in sections[section]
-        )
-    constraint_sets = {}
-    for section in ("sigma12", "sigma23"):
-        constraint_sets[section] = ConstraintSet(
-            parse_constraint(line) for line in sections[section]
-        )
+    sigma1 = _parse_signature(sections["sigma1"])
+    sigma2 = _parse_signature(sections["sigma2"])
+    sigma3 = _parse_signature(sections["sigma3"])
+    constraint = _Reader().constraint_line
     return CompositionProblem(
-        sigma1=signatures["sigma1"],
-        sigma2=signatures["sigma2"],
-        sigma3=signatures["sigma3"],
-        sigma12=constraint_sets["sigma12"],
-        sigma23=constraint_sets["sigma23"],
+        sigma1=sigma1,
+        sigma2=sigma2,
+        sigma3=sigma3,
+        sigma12=ConstraintSet([constraint(line) for line in sections["sigma12"]]),
+        sigma23=ConstraintSet([constraint(line) for line in sections["sigma23"]]),
         name=name,
         description=description,
     )

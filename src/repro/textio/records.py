@@ -34,13 +34,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algebra.parser import parse_constraint
+from repro.algebra.parser import _Reader
 from repro.compose.result import CompositionResult, EliminationMethod, EliminationOutcome
 from repro.constraints.constraint_set import ConstraintSet
 from repro.exceptions import ParseError
 from repro.mapping.mapping import Mapping
 from repro.schema.signature import Signature
-from repro.textio.format import _parse_relation_line, _signature_to_lines
+from repro.textio.format import _parse_signature, _signature_to_lines
 
 __all__ = [
     "Record",
@@ -164,12 +164,9 @@ def _signature_section(header: str, signature: Signature) -> List[str]:
     return [f"[{header}]"] + _signature_to_lines(signature)
 
 
-def _parse_signature(lines: Sequence[str]) -> Signature:
-    return Signature(_parse_relation_line(line) for line in lines)
-
-
-def _parse_constraints(lines: Sequence[str]) -> ConstraintSet:
-    return ConstraintSet(parse_constraint(line) for line in lines)
+def _parse_constraints(lines: Sequence[str], reader: _Reader) -> ConstraintSet:
+    """Parse one constraint per line; ``reader`` holds the record's leaf table."""
+    return ConstraintSet([reader.constraint_line(line) for line in lines])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,7 @@ def mapping_from_text(text: str) -> Mapping:
     return Mapping(
         input_signature=_parse_signature(record.section("input")),
         output_signature=_parse_signature(record.section("output")),
-        constraints=_parse_constraints(record.section("constraints")),
+        constraints=_parse_constraints(record.section("constraints"), _Reader()),
     )
 
 
@@ -266,11 +263,12 @@ def _chain_mappings_from_record(record: Record, declared_length: Optional[str]) 
     signatures = [
         _parse_signature(record.section(f"schema.{index}")) for index in range(length + 1)
     ]
+    reader = _Reader()
     return tuple(
         Mapping(
             input_signature=signatures[index],
             output_signature=signatures[index + 1],
-            constraints=_parse_constraints(record.section(f"constraints.{index}")),
+            constraints=_parse_constraints(record.section(f"constraints.{index}"), reader),
         )
         for index in range(length)
     )
@@ -513,7 +511,7 @@ def result_from_text(text: str) -> CompositionResult:
         sigma1=_parse_signature(record.section("sigma1")),
         sigma3=_parse_signature(record.section("sigma3")),
         residual_sigma2=_parse_signature(record.section("residual")),
-        constraints=_parse_constraints(record.section("constraints")),
+        constraints=_parse_constraints(record.section("constraints"), _Reader()),
         outcomes=_parse_outcomes(record.sections.get("outcomes", [])),
         elapsed_seconds=_float_meta("elapsed-seconds"),
         input_operator_count=_int_meta("input-operators"),

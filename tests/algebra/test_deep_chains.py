@@ -14,6 +14,7 @@ import pytest
 from repro.algebra import traversal
 from repro.algebra.expressions import Relation, Selection, Union
 from repro.algebra.conditions import TrueCondition
+from repro.algebra.parser import parse_expression
 from repro.algebra.simplify import simplify_expression
 from repro.algebra.summary import node_summary
 
@@ -59,6 +60,13 @@ class TestDeepChains:
         chain = _union_chain(DEPTH)
         substituted = traversal.substitute_relation(chain, "R", Relation("T", 2))
         assert traversal.relation_names(substituted) == frozenset({"T"})
+
+    def test_text_round_trip_is_iterative(self, deep_chain):
+        # The printer and the parser keep explicit stacks: 5,000 nested
+        # parentheses print and parse back.
+        text = str(deep_chain)
+        assert text.startswith("(" * (DEPTH - 1))
+        assert parse_expression(text) == deep_chain
 
     def test_hashing_after_summary_is_shallow(self):
         chain = _union_chain(DEPTH)

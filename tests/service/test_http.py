@@ -5,6 +5,7 @@ over HTTP, and the answer must be byte-identical to a direct ``compose()``.
 """
 
 import json
+import sys
 import time
 import urllib.error
 import urllib.request
@@ -154,6 +155,67 @@ class TestEndpoints:
             connection.endheaders()
             response = connection.getresponse()
             assert response.status == 400
+        finally:
+            connection.close()
+
+
+class TestMalformedRecords:
+    """Every malformed record is a ParseError, answered 400 on a live connection."""
+
+    MALFORMED = (
+        "[sigma1]\nR/2\n[sigma2]\nS/2\n[sigma3]\n[sigma12]\nR/1.5 <= S/2\n[sigma23]\n",
+        "[sigma1]\nR/2\n[sigma2]\nS/2\n[sigma3]\n[sigma12]\nproject[1.5](R/2) <= S/2\n"
+        "[sigma23]\n",
+        "[sigma1]\nR/2 key=a\n[sigma2]\nS/2\n[sigma3]\n[sigma12]\nR/2 <= S/2\n[sigma23]\n",
+    )
+
+    @staticmethod
+    def _connection(base):
+        import http.client
+
+        host, port = base.removeprefix("http://").split(":")
+        return http.client.HTTPConnection(host, int(port), timeout=60)
+
+    @staticmethod
+    def _exchange(connection, body: str):
+        connection.request("POST", "/compose", body=body.encode())
+        response = connection.getresponse()
+        return response.status, response.read().decode()
+
+    def test_malformed_number_is_400_and_the_connection_lives_on(self, stack):
+        _, _, base = stack
+        problem = problem_by_name("example1_movies").problem
+        connection = self._connection(base)
+        try:
+            for body in self.MALFORMED:
+                status, text = self._exchange(connection, body)
+                assert status == 400, text
+                sock = connection.sock
+                status, text = self._exchange(connection, problem_to_text(problem))
+                assert status == 200
+                assert connection.sock is sock  # the same connection answered
+                assert result_from_text(text).constraints.to_text() == (
+                    compose(problem).constraints.to_text()
+                )
+        finally:
+            connection.close()
+
+    def test_deeply_nested_record_gets_an_answer(self, stack):
+        _, _, base = stack
+        depth = 3000
+        nested = "(" * depth + "R/2" + ")" * depth
+        # Condition objects are recursive: this one is too deep to build.
+        not_depth = 3 * sys.getrecursionlimit()
+        deep_condition = "not (" * not_depth + "#0 = 1" + ")" * not_depth
+        connection = self._connection(base)
+        try:
+            for line, expected in (
+                (f"{nested} <= S/2", 200),
+                (f"select[{deep_condition}](R/2) <= S/2", 400),
+            ):
+                body = f"[sigma1]\nR/2\n[sigma2]\nS/2\n[sigma3]\n[sigma12]\n{line}\n[sigma23]\n"
+                status, _ = self._exchange(connection, body)
+                assert status == expected
         finally:
             connection.close()
 

@@ -217,6 +217,24 @@ class TestRouting:
             # An answering backend is authoritative: no retry was counted.
             assert router.request_retries == 0
 
+    def test_malformed_record_is_relayed_as_400_and_the_backend_stays_up(self, primary):
+        malformed = b"[sigma1]\nR/2\n[sigma2]\nS/2\n[sigma3]\n[sigma12]\nR/1.5 <= S/2\n[sigma23]\n"
+        problem = problem_by_name("example1_movies").problem
+        with RouterHTTPServer([primary.base], port=0, health_interval_seconds=30) as router:
+            host, port = router.address
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(f"http://{host}:{port}/compose", malformed)
+            assert excinfo.value.code == 400
+            assert b"expected an integer" in excinfo.value.read()
+            (backend,) = router.backends
+            assert backend.reachable and backend.healthy
+            status, _, headers = _post(
+                f"http://{host}:{port}/compose", problem_to_text(problem).encode()
+            )
+            assert status == 200
+            assert headers["x-repro-backend"] == primary.base
+            assert router.requests_failed == 0
+
     def test_dead_backend_read_retries_to_survivor(self, primary, tmp_path):
         doomed = _Stack(tmp_path / "doomed")
         with RouterHTTPServer(
