@@ -14,8 +14,10 @@ reported but not gated.  What is gated:
 * **work counts must match exactly** — the engine benchmark counts nodes
   summarized, substitution walks, simplify walks, constraint sets built and
   normalization attempts on its acceptance workload and over one editing
-  study, and the text benchmark counts nodes summarized and node digests
-  while 64 problem records are parsed and fingerprinted; the counts repeat
+  study, the text benchmark counts nodes summarized and node digests
+  while 64 problem records are parsed and fingerprinted, and the
+  replication benchmark counts the requests and journal segment reads an
+  idle follower's poll and status cost its primary; the counts repeat
   exactly across runs and hash seeds, so a drift means the work changed
   (refresh the baseline when a change means to);
 * **scale-free ratios must not regress by more than 25%** — the batch-
@@ -57,6 +59,12 @@ EXACT_METRICS = {
         "normalize_attempts",
     ),
     "textio_parse_work": ("records", "nodes_summarized", "node_digests"),
+    "replication_idle_work": (
+        "stored_results",
+        "idle_poll_requests",
+        "status_requests",
+        "idle_poll_segment_reads",
+    ),
     "engine_partitioned": (
         "problems",
         "components_per_problem",

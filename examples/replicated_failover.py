@@ -148,7 +148,11 @@ def run(work_dir: Path) -> None:
             acknowledged.append(name)
             print(f"write {name!r} -> {headers['x-repro-backend']} (the primary)")
 
-        wait_for(lambda: follower.status()["lag_entries"] == 0)
+        # The lag is worked out from the follower's last poll: wait for a
+        # poll that began after the writes (two polls on) to report none.
+        polls = follower.polls
+        wait_for(lambda: follower.polls >= polls + 2
+                 and follower.status()["lag_entries"] == 0)
         print(f"replication lag drained: {follower.status()['entries_applied']} "
               "entries mirrored")
         election = get_json(f"{follower_base}/healthz")["election"]

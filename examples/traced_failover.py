@@ -169,11 +169,19 @@ def run(work_dir: Path) -> None:
             print(f"write {name!r} acknowledged — trace {traced[name][:12]}…")
 
         # Let the follower mirror every journal entry (its apply spans are
-        # the cross-process leaves of the trees we are about to print).
-        wait_for(
-            lambda: get_json(f"{follower_base}/healthz")
-            .get("replication", {}).get("lag_entries") == 0
-        )
+        # the cross-process leaves of the trees we are about to print).  The
+        # lag is worked out from its last poll, so wait for a poll that
+        # began after the writes (two polls on) to report none.
+        def replication() -> dict:
+            return get_json(f"{follower_base}/healthz").get("replication", {})
+
+        polls = replication()["polls"]
+
+        def drained() -> bool:
+            state = replication()
+            return state["polls"] >= polls + 2 and state["lag_entries"] == 0
+
+        wait_for(drained)
 
         # -- 3. SIGKILL the primary; promote the follower -------------------
         print("\nSIGKILLing the primary...")

@@ -74,7 +74,7 @@ import struct
 import time
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import faults, obs
 from repro.catalog.storage import FileLock, atomic_write_text
@@ -86,6 +86,7 @@ __all__ = [
     "decode_entry",
     "scan_entries",
     "DEFAULT_MAX_SEGMENT_BYTES",
+    "DEFAULT_POLL_LIMIT",
 ]
 
 #: ``>II`` — payload length then CRC32 of the payload, both unsigned 32-bit BE.
@@ -93,6 +94,13 @@ _HEADER = struct.Struct(">II")
 
 #: Rotation threshold: a segment past this size stops accepting appends.
 DEFAULT_MAX_SEGMENT_BYTES = 1 << 20
+
+#: Most entries a follower poll asks for by default (the HTTP endpoint's too).
+DEFAULT_POLL_LIMIT = 256
+
+#: A poll's answer: every shard's last seq, and the entries past the cursors
+#: (shard -> entries, oldest first; shards with nothing new left out).
+Poll = Tuple[List[int], Dict[int, List[dict]]]
 
 #: Entries beyond this are treated as corruption, not data — a garbage length
 #: prefix must not make a reader try to allocate gigabytes.
@@ -201,6 +209,10 @@ class CatalogJournal:
         # Tail cache: shard -> (tail path, size, last seq).  Revalidated by a
         # stat on every append, so another process's appends are picked up.
         self._tails: Dict[int, Tuple[Path, int, int]] = {}
+        # Read-side cache: shard -> ((tail path, size, mtime_ns), last seq),
+        # kept only for a tail read whole and clean.  One stat revalidates
+        # it, so an idle shard is answered without reading a segment.
+        self._last_seqs: Dict[int, Tuple[Tuple[Path, int, int], int]] = {}
         # Epoch/fence caches: (stat signature, value).  Revalidated by a stat
         # per read, so another process's promotion is observed promptly.
         self._epoch_cache: Optional[Tuple[Tuple[int, int], int]] = None
@@ -338,12 +350,46 @@ class CatalogJournal:
 
         Lock-free: safe to call on a live primary's journal (locally or from
         the HTTP journal endpoint).  A half-written tail entry ends the scan;
-        the caller sees it completed on a later poll.
+        the caller sees it completed on a later poll.  A cursor at or past
+        :meth:`last_seq` is answered from one stat, without reading a segment.
         """
+        return self._read(shard, since, limit)[1]
+
+    def poll(self, cursors: Sequence[int], limit: int) -> Poll:
+        """One follower poll: every shard's last seq and the entries past its cursor.
+
+        ``cursors[shard]`` is the poller's applied seq of ``shard``.  The
+        entries come shard by shard, oldest first, at most ``limit`` of them
+        in all, so a long backlog pages over several polls; a shard with
+        nothing past its cursor is left out of the dict.
+        """
+        if len(cursors) != self.num_shards:
+            raise JournalError(
+                f"expected {self.num_shards} cursors, got {len(cursors)}"
+            )
+        if limit < 1:
+            raise JournalError("limit must be positive")
+        last_seqs: List[int] = []
+        entries: Dict[int, List[dict]] = {}
+        for shard, since in enumerate(cursors):
+            last, page = self._read(shard, since, limit)
+            last_seqs.append(last)
+            if page:
+                entries[shard] = page
+                limit -= len(page)
+        return last_seqs, entries
+
+    def _read(
+        self, shard: int, since: int, limit: Optional[int]
+    ) -> Tuple[int, List[dict]]:
+        """``(last seq, entries past since)`` of one shard, listing it once."""
         self._check_shard(shard)
         faults.fire("journal.replay", shard=shard, since=since)
-        out: List[dict] = []
         segments = self.segments(shard)
+        last = self._tail_seq(shard, segments)
+        out: List[dict] = []
+        if since >= last or limit == 0:
+            return last, out
         for index, path in enumerate(segments):
             if index + 1 < len(segments) and self._first_seq(segments[index + 1]) <= since + 1:
                 continue  # wholly covered by the cursor
@@ -357,31 +403,44 @@ class CatalogJournal:
                     continue
                 out.append(entry)
                 if limit is not None and len(out) >= limit:
-                    return out
-        return out
+                    return last, out
+        return last, out
 
     def last_seq(self, shard: int) -> int:
         """The newest sequence number journaled for ``shard`` (0 when empty).
 
         Lock-free and read-only (no tail healing) for the same reason as
-        :meth:`read_since`.
+        :meth:`read_since`.  The directory is listed on every call, so
+        another process's rotations and GC are seen; the tail segment is
+        read only when its stat changed since the last call.
         """
         self._check_shard(shard)
-        segments = self.segments(shard)
+        return self._tail_seq(shard, self.segments(shard))
+
+    def _tail_seq(self, shard: int, segments: List[Path]) -> int:
         if not segments:
             return 0
+        path = segments[-1]
         try:
-            data = segments[-1].read_bytes()
+            st = os.stat(path)
         except OSError:
             return 0
-        entries, _ = scan_entries(data)
-        if entries:
-            return int(entries[-1].get("seq", 0))
-        return self._first_seq(segments[-1]) - 1
-
-    def last_seqs(self) -> Dict[int, int]:
-        """Every shard's newest sequence number."""
-        return {shard: self.last_seq(shard) for shard in range(self.num_shards)}
+        key = (path, st.st_size, st.st_mtime_ns)
+        cached = self._last_seqs.get(shard)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return 0
+        entries, clean = scan_entries(data)
+        last = int(entries[-1].get("seq", 0)) if entries else self._first_seq(path) - 1
+        if clean == len(data) == st.st_size:
+            # Only a tail read whole and clean is cached: appends only grow
+            # a segment and healing only cuts torn bytes, so a clean tail of
+            # one size always ends at the same seq.
+            self._last_seqs[shard] = (key, last)
+        return last
 
     # -- fencing epochs ------------------------------------------------------------
 

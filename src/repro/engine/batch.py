@@ -129,7 +129,18 @@ class BatchReport:
     items: Tuple[BatchItemResult, ...]
     elapsed_seconds: float
     cache_stats: Optional[dict] = None
-    checkpoint_stats: Optional[dict] = None
+    #: The composer's hop-checkpoint store, if it has one.
+    checkpoints: Optional[CheckpointStore] = field(default=None, repr=False, compare=False)
+
+    @property
+    def checkpoint_stats(self) -> Optional[dict]:
+        """The checkpoint store's statistics, taken when read.
+
+        Taken lazily because a persistent store counts its files on disk:
+        a caller that never reads them (the service) never lists the
+        directory.
+        """
+        return self.checkpoints.stats() if self.checkpoints is not None else None
 
     # -- aggregate statistics ------------------------------------------------------
 
@@ -198,10 +209,11 @@ class BatchReport:
             lines.append(f"failed: {', '.join(item.label for item in self.failed)}")
         if self.timed_out:
             lines.append(f"timed out: {', '.join(item.label for item in self.timed_out)}")
-        if self.checkpoint_stats is not None:
+        stats = self.checkpoint_stats
+        if stats is not None:
             lines.append(
-                f"hop checkpoints: {self.checkpoint_stats['entries']:.0f} recorded, "
-                f"{self.checkpoint_stats['hits']:.0f} prefix reuses"
+                f"hop checkpoints: {stats['entries']:.0f} recorded, "
+                f"{stats['hits']:.0f} prefix reuses"
             )
         return "\n".join(lines)
 
@@ -281,9 +293,7 @@ class BatchComposer:
         return BatchReport(
             items=tuple(results),
             elapsed_seconds=time.perf_counter() - started,
-            checkpoint_stats=(
-                self.checkpoints.stats() if self.checkpoints is not None else None
-            ),
+            checkpoints=self.checkpoints,
         )
 
     def _run_one(

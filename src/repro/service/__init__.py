@@ -18,12 +18,13 @@
   to memory-only serving instead of wedging it, and a background probe
   closes the breaker when storage recovers;
 * :mod:`repro.service.http` — a stdlib HTTP front-end exposing ``/compose``,
-  ``/catalog``, ``/metrics``, ``/journal/<shard>`` and a truthful
-  ``/healthz`` (the CLI's ``repro serve``);
+  ``/catalog``, ``/metrics``, ``/journal`` (one replication poll over every
+  shard) and a truthful ``/healthz`` (the CLI's ``repro serve``);
 * :mod:`repro.service.replica` — :class:`ReplicationFollower`, the follower
   mode behind ``repro serve --follow``: tail a primary's catalog journal
-  (local root or HTTP), mirror it with post-apply fingerprint verification,
-  report replication lag, promote on demand;
+  (local root or HTTP) with one request per poll, mirror it with post-apply
+  fingerprint verification, report replication lag from the last poll
+  (health checks never call the primary), promote on demand;
 * :mod:`repro.service.router` — :class:`RouterHTTPServer`, the
   health-routing front tier behind ``repro route``: reads to healthy
   followers, writes to the highest-epoch primary, retries of idempotent

@@ -21,12 +21,16 @@ text-first — everything speaks the plain-text record formats of
   (``?kind=mapping`` filters).
 * ``GET /catalog/<kind>/<name>`` — the stored record text
   (``?version=N`` selects an old version).
-* ``GET /journal/<shard>?since=<seq>`` — the catalog's replication journal
-  entries of one index shard with sequence numbers past ``since``
-  (``&limit=N`` bounds the page; ``limit=0`` asks only for ``last_seq``) —
-  the endpoint a :class:`~repro.service.replica.ReplicationFollower` tails
-  over HTTP.  Pollers piggyback ``&follower=<id>&applied=<seq>``; the
-  server feeds that into the service's replica-ack table, which is how
+* ``GET /journal?since=<s0>,…,<s15>`` — one replication poll: the cursor
+  list holds the poller's applied seq of every journal shard, and the
+  answer is ``{"last_seqs": [...], "entries": {"<shard>": [...]}}`` —
+  every shard's last seq, plus the entries past the cursors of the shards
+  that have any, oldest first and at most ``&limit=N`` in all (256 by
+  default).  The endpoint a
+  :class:`~repro.service.replica.ReplicationFollower` tails over HTTP:
+  one request per poll, an idle shard answered from a stat.  A poller that
+  names itself (``&follower=<id>``) acknowledges its cursors; the server
+  feeds them into the service's replica-ack table, which is how
   ``ack_level="replica"`` writes learn they are mirrored.
 * ``POST /compose`` — body is a record text: a composition problem (the
   paper's task format) is composed and answered with a ``result`` record; a
@@ -74,6 +78,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
+from repro.catalog.journal import DEFAULT_POLL_LIMIT
 from repro.compose.config import ComposerConfig
 from repro.exceptions import (
     CatalogError,
@@ -216,8 +221,8 @@ class _Handler(BaseHandler):
                 self._get_catalog_listing(parse_qs(url.query))
             elif len(parts) == 3 and parts[0] == "catalog":
                 self._get_catalog_record(parts[1], parts[2], parse_qs(url.query))
-            elif len(parts) == 2 and parts[0] == "journal":
-                self._get_journal(parts[1], parse_qs(url.query))
+            elif parts == ["journal"]:
+                self._get_journal(parse_qs(url.query))
             else:
                 self._send_text(404, f"unknown path {url.path!r}\n")
         except CatalogError as exc:
@@ -266,44 +271,35 @@ class _Handler(BaseHandler):
                 health["status"] = "degraded"
         return health
 
-    def _get_journal(self, shard_text: str, query) -> None:
+    def _get_journal(self, query) -> None:
         catalog = self.server.service.catalog
         if catalog is None:
             self._send_text(404, "this service has no catalog attached\n")
             return
+        journal = catalog.journal
         try:
-            shard = int(shard_text)
+            cursors = [int(seq) for seq in query.get("since", [""])[0].split(",")]
+            limit = int(query.get("limit", [str(DEFAULT_POLL_LIMIT)])[0])
         except ValueError:
-            self._send_text(400, "journal shard must be an integer\n")
-            return
-        since = 0
-        limit: Optional[int] = None
-        try:
-            if "since" in query:
-                since = int(query["since"][0])
-            if "limit" in query:
-                limit = int(query["limit"][0])
-        except ValueError:
-            self._send_text(400, "since and limit must be integers\n")
+            cursors, limit = [], 0
+        if len(cursors) != journal.num_shards or limit < 1:
+            self._send_text(
+                400,
+                f"since must list {journal.num_shards} integer cursors, one per "
+                "shard, and limit must be a positive integer\n",
+            )
             return
         follower_id = query.get("follower", [None])[0]
         if follower_id:
-            # The poller's applied-seq piggyback: its replay cursor *is* its
-            # ack.  Feeds ack_level="replica" write waits and the GC floor.
-            try:
-                applied = int(query.get("applied", [str(since)])[0])
-            except ValueError:
-                applied = since
-            self.server.service.record_follower_applied(follower_id, shard, applied)
-        journal = catalog.journal
-        entries = [] if limit == 0 else journal.read_since(shard, since, limit=limit)
+            # The poller's cursors *are* its ack: they feed
+            # ack_level="replica" write waits and the GC floor.
+            self.server.service.record_follower_applied(follower_id, cursors)
+        last_seqs, entries = journal.poll(cursors, limit)
         self._send_json(
             200,
             {
-                "shard": shard,
-                "since": since,
-                "entries": entries,
-                "last_seq": journal.last_seq(shard),
+                "last_seqs": last_seqs,
+                "entries": {str(shard): page for shard, page in entries.items()},
             },
         )
 

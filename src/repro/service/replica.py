@@ -4,11 +4,17 @@
 whose producer is :class:`~repro.catalog.journal.CatalogJournal`: it polls a
 *source* — the primary's catalog root on a shared/local filesystem
 (:class:`LocalJournalSource`) or a running primary's HTTP endpoint
-``GET /journal/<shard>?since=<seq>`` (:class:`HTTPJournalSource`) — applies
+``GET /journal?since=<s0>,…,<s15>`` (:class:`HTTPJournalSource`) — applies
 every new entry into its own catalog through
 :meth:`~repro.catalog.MappingCatalog.apply_journal_entry`, and verifies each
 applied version's content fingerprint afterwards, so mirrored bytes are
 checked to reproduce the content the primary acknowledged.
+
+One poll is one request: it carries the follower's applied seq of every
+shard and answers every shard's last seq plus the entries past those
+cursors, so an idle poll costs one small request, and the primary answers
+an idle shard from a stat.  The follower's lag is worked out from the last
+poll's answer: :meth:`ReplicationFollower.status` never calls the primary.
 
 The follower's replay cursor is its *own* journal: applied entries are
 re-journaled with their original per-shard sequence numbers, so a restarted
@@ -35,12 +41,12 @@ import random
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 from urllib.parse import quote, urlsplit
 
 from repro import faults, obs
 from repro.catalog.catalog import MappingCatalog
-from repro.catalog.journal import CatalogJournal
+from repro.catalog.journal import DEFAULT_POLL_LIMIT, CatalogJournal, Poll
 from repro.catalog.leases import default_owner_id
 from repro.exceptions import CatalogError, JournalError, ReplicationError
 from repro.service.wire import TRANSPORT_ERRORS, PooledClient
@@ -63,10 +69,11 @@ class JournalSource:
     #: Human-readable origin (a path or URL), for status reporting.
     origin: str = ""
 
-    def read_since(self, shard: int, since: int, limit: Optional[int] = None) -> List[dict]:
-        raise NotImplementedError
+    def poll(self, cursors: Sequence[int], limit: int) -> Poll:
+        """Every shard's last seq and up to ``limit`` entries past ``cursors``.
 
-    def last_seqs(self) -> Dict[int, int]:
+        ``cursors[shard]`` is the follower's applied seq of ``shard``.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -87,20 +94,17 @@ class LocalJournalSource(JournalSource):
         self._journal = CatalogJournal(self.root / "journal", num_shards=num_shards)
         self.num_shards = num_shards
 
-    def read_since(self, shard: int, since: int, limit: Optional[int] = None) -> List[dict]:
-        return self._journal.read_since(shard, since, limit=limit)
-
-    def last_seqs(self) -> Dict[int, int]:
-        return self._journal.last_seqs()
+    def poll(self, cursors: Sequence[int], limit: int) -> Poll:
+        return self._journal.poll(cursors, limit)
 
 
 class HTTPJournalSource(JournalSource):
-    """Tail a running primary over its ``GET /journal/<shard>`` endpoint.
+    """Tail a running primary over its ``GET /journal`` endpoint.
 
-    Each poll piggybacks this follower's identity and applied seq for the
-    shard (``&follower=<id>&applied=<seq>``), which is how the primary's
-    ``ack_level="replica"`` mode learns that an entry is durably mirrored —
-    no extra ack round-trip, the replication pull *is* the ack.
+    Each poll's cursors name this follower (``&follower=<id>``), which is
+    how the primary's ``ack_level="replica"`` mode learns that an entry is
+    durably mirrored — no extra ack round-trip, the replication pull *is*
+    the ack.
     """
 
     def __init__(
@@ -117,36 +121,38 @@ class HTTPJournalSource(JournalSource):
         self.follower_id = follower_id or default_owner_id()
         self._client = PooledClient()
 
-    def _fetch(
-        self, shard: int, since: int, limit: Optional[int], report_applied: bool = False
-    ) -> dict:
-        url = f"{self.base_url}/journal/{quote(str(shard))}?since={since}"
-        if limit is not None:
-            url += f"&limit={limit}"
-        if report_applied:
-            url += f"&follower={quote(self.follower_id)}&applied={since}"
+    def poll(self, cursors: Sequence[int], limit: int) -> Poll:
+        url = (
+            f"{self.base_url}/journal?since={','.join(str(c) for c in cursors)}"
+            f"&limit={limit}&follower={quote(self.follower_id)}"
+        )
         status, _, body = self._client.request("GET", url, timeout=self.timeout_seconds)
         if status != 200:
             raise ReplicationError(f"journal endpoint {url} answered {status}")
-        payload = json.loads(body.decode("utf-8"))
-        if not isinstance(payload, dict) or "entries" not in payload:
+        try:
+            return _parse_poll(body, len(cursors))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise ReplicationError(
-                f"journal endpoint {url} answered a malformed payload"
-            )
-        return payload
-
-    def read_since(self, shard: int, since: int, limit: Optional[int] = None) -> List[dict]:
-        return list(self._fetch(shard, since, limit, report_applied=True)["entries"])
-
-    def last_seqs(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for shard in range(self.num_shards):
-            payload = self._fetch(shard, since=0, limit=0)
-            out[shard] = int(payload.get("last_seq", 0))
-        return out
+                f"journal endpoint {url} answered a malformed payload: {exc}"
+            ) from exc
 
     def close(self) -> None:
         self._client.close()
+
+
+def _parse_poll(body: bytes, num_shards: int) -> Poll:
+    """A journal endpoint's answer; raises ``ValueError`` (or a lookup
+    error) when it is not the expected JSON shape."""
+    payload = json.loads(body)
+    last_seqs = [int(seq) for seq in payload["last_seqs"]]
+    entries = {int(shard): list(page) for shard, page in payload["entries"].items()}
+    if len(last_seqs) != num_shards or not all(
+        0 <= shard < num_shards
+        and all(isinstance(entry, dict) and isinstance(entry.get("seq"), int) for entry in page)
+        for shard, page in entries.items()
+    ):
+        raise ValueError("not one last seq per shard and a list of entries per shard")
+    return last_seqs, entries
 
 
 def open_source(target: Union[str, Path], num_shards: int = 16) -> JournalSource:
@@ -183,7 +189,7 @@ class ReplicationFollower:
         catalog: MappingCatalog,
         source: JournalSource,
         poll_interval_seconds: float = DEFAULT_POLL_INTERVAL_SECONDS,
-        batch_limit: int = 256,
+        batch_limit: int = DEFAULT_POLL_LIMIT,
         verify: bool = True,
     ):
         if poll_interval_seconds <= 0:
@@ -212,6 +218,10 @@ class ReplicationFollower:
         self.polls = 0
         self.poll_failures = 0
         self._source_reachable: Optional[bool] = None
+        # Every shard's last seq on the source, as of the last successful
+        # poll (None before one and after a failed one): lag is worked out
+        # from it, so status() never calls the source.
+        self._source_last_seqs: Optional[List[int]] = None
         self._last_caught_up_monotonic: Optional[float] = None
 
     # -- lifecycle -----------------------------------------------------------------
@@ -268,33 +278,34 @@ class ReplicationFollower:
     # -- catching up ---------------------------------------------------------------
 
     def catch_up(self) -> int:
-        """One synchronous pass over every shard; returns entries applied.
+        """Poll the source until caught up; returns entries applied.
 
-        Raises nothing on per-entry verification failures (counted instead);
-        source-level I/O errors propagate to the caller — the tail loop
-        counts them, a promotion treats them as "the primary is gone".
+        Each poll's entries (at most ``batch_limit``) are applied shard by
+        shard, in seq order; the source is polled again only while an
+        answer was full.  Raises nothing on per-entry verification failures
+        (counted instead); source-level I/O errors propagate to the caller —
+        the tail loop counts them, a promotion treats them as "the primary
+        is gone".
         """
         applied = 0
         self.polls += 1
-        for shard in range(self.num_shards):
-            while True:
-                try:
-                    entries = self.source.read_since(
-                        shard, self._applied.get(shard, 0), limit=self.batch_limit
-                    )
-                except (*TRANSPORT_ERRORS, JournalError, ReplicationError) as exc:
-                    self._source_reachable = False
-                    raise ReplicationError(
-                        f"cannot read journal shard {shard} from "
-                        f"{self.source.origin}: {exc}"
-                    ) from exc
-                self._source_reachable = True
-                if not entries:
-                    break
-                for entry in entries:
+        while True:
+            cursors = [self._applied.get(shard, 0) for shard in range(self.num_shards)]
+            try:
+                last_seqs, entries = self.source.poll(cursors, self.batch_limit)
+            except (*TRANSPORT_ERRORS, JournalError, ReplicationError) as exc:
+                self._source_reachable = False
+                self._source_last_seqs = None
+                raise ReplicationError(
+                    f"cannot poll the journal of {self.source.origin}: {exc}"
+                ) from exc
+            self._source_reachable = True
+            self._source_last_seqs = last_seqs
+            for shard in sorted(entries):
+                for entry in entries[shard]:
                     applied += self._apply(shard, entry)
-                if len(entries) < self.batch_limit:
-                    break
+            if sum(len(page) for page in entries.values()) < self.batch_limit:
+                break
         self._last_caught_up_monotonic = time.monotonic()
         return applied
 
@@ -395,15 +406,18 @@ class ReplicationFollower:
     # -- introspection -------------------------------------------------------------
 
     def lag(self) -> Optional[int]:
-        """Total entries the source holds that we have not applied (``None``
-        when the source cannot be reached to ask)."""
-        try:
-            source_seqs = self.source.last_seqs()
-        except (*TRANSPORT_ERRORS, JournalError, ReplicationError):
+        """Entries the source held at the last poll that are not applied yet.
+
+        ``None`` before the first successful poll and after a failed one.
+        Worked out from the last poll's answer, so it costs no call to the
+        source and is at most one poll old.
+        """
+        last_seqs = self._source_last_seqs
+        if last_seqs is None:
             return None
         return sum(
-            max(0, int(last) - self._applied.get(shard, 0))
-            for shard, last in source_seqs.items()
+            max(0, last - self._applied.get(shard, 0))
+            for shard, last in enumerate(last_seqs)
         )
 
     def status(self) -> dict:

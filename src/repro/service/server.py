@@ -905,19 +905,20 @@ class CompositionService:
         """The journal shard a ``kind/name`` write lands in."""
         return MappingCatalog._shard_id(kind, name)
 
-    def record_follower_applied(self, follower_id: str, shard: int, applied: int) -> None:
-        """A follower reported it has applied ``shard`` up to seq ``applied``.
+    def record_follower_applied(self, follower_id: str, applied: Sequence[int]) -> None:
+        """A follower reported it has applied each shard up to ``applied[shard]``.
 
-        Called by the HTTP layer for every journal poll carrying the
-        ``follower``/``applied`` piggyback.  Wakes every write waiting on a
-        replica ack and (throttled) persists the floor next to the journal
-        for GC's retention rule.
+        Called by the HTTP layer for every journal poll that names its
+        follower: the poll's cursors are the follower's applied seqs.
+        Wakes every write waiting on a replica ack and (throttled) persists
+        the floor next to the journal for GC's retention rule.
         """
         with self._ack_cond:
             follower = self._replica_acks.setdefault(follower_id, {"applied": {}})
-            previous = int(follower["applied"].get(shard, 0))
-            if applied > previous:
-                follower["applied"][shard] = int(applied)
+            floors = follower["applied"]
+            for shard, seq in enumerate(applied):
+                if seq > floors.get(shard, 0):
+                    floors[shard] = int(seq)
             follower["updated_at"] = time.time()
             self._ack_cond.notify_all()
         self._persist_replica_acks()

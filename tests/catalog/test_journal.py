@@ -20,6 +20,7 @@ import pytest
 
 from repro import faults
 from repro.catalog import MappingCatalog
+from repro.catalog import journal as journal_module
 from repro.catalog.journal import (
     CatalogJournal,
     decode_entry,
@@ -112,7 +113,7 @@ class TestAppendRead:
         journal.append(0, {"op": "put"})
         journal.append(1, {"op": "put"})
         journal.append(1, {"op": "put"})
-        assert journal.last_seqs() == {0: 1, 1: 2, 2: 0, 3: 0}
+        assert [journal.last_seq(shard) for shard in range(4)] == [1, 2, 0, 0]
 
     def test_explicit_seq_is_idempotent(self, tmp_path):
         """A follower re-applying an already-journaled entry is a no-op."""
@@ -230,6 +231,103 @@ class TestTornTail:
         entries = journal.read_since(0)
         assert entries[-1]["seq"] == retried
         assert all(entry["n"] == 0 for entry in entries)
+
+
+class TestReadCache:
+    """An idle shard is answered from one stat; the cache is read-only."""
+
+    @staticmethod
+    def _count_scans(monkeypatch):
+        scans = []
+        scan = journal_module.scan_entries
+
+        def counted(data):
+            scans.append(len(data))
+            return scan(data)
+
+        monkeypatch.setattr(journal_module, "scan_entries", counted)
+        return scans
+
+    def test_idle_shard_reads_no_segment(self, tmp_path, monkeypatch):
+        writer = CatalogJournal(tmp_path / "journal", num_shards=2)
+        for n in range(3):
+            writer.append(0, {"n": n})
+        reader = CatalogJournal(tmp_path / "journal", num_shards=2)
+        assert reader.last_seq(0) == 3
+        scans = self._count_scans(monkeypatch)
+        assert reader.last_seq(0) == 3
+        assert reader.read_since(0, since=3) == []
+        assert reader.poll([3, 0], 256) == ([3, 0], {})
+        assert scans == []
+        writer.append(0, {"n": 3})
+        assert reader.poll([3, 0], 256) == ([4, 0], {0: reader.read_since(0, since=3)})
+        assert scans
+
+    def test_idle_read_still_fires_the_replay_fault_point(self, tmp_path):
+        journal = CatalogJournal(tmp_path / "journal", num_shards=1)
+        journal.append(0, {"n": 0})
+        assert journal.read_since(0, since=1) == []
+        faults.install(FaultInjector.from_text("journal.replay:eio:limit=1"))
+        try:
+            with pytest.raises(OSError):
+                journal.read_since(0, since=1)
+        finally:
+            faults.clear()
+
+    def test_another_handles_appends_rotations_and_gc_are_seen(self, tmp_path):
+        writer = CatalogJournal(tmp_path / "journal", num_shards=1, max_segment_bytes=200)
+        reader = CatalogJournal(tmp_path / "journal", num_shards=1)
+        writer.append(0, {"n": 0})
+        assert reader.last_seq(0) == 1
+        writer.append(0, {"n": 1})
+        assert len(writer.segments(0)) == 1
+        assert reader.last_seq(0) == 2
+        for n in range(2, 8):
+            writer.append(0, {"n": n, "pad": "x" * 40})
+        assert len(writer.segments(0)) > 1
+        assert reader.last_seq(0) == 8
+        assert [e["seq"] for e in reader.read_since(0, since=6)] == [7, 8]
+        writer.gc(max_segments=1)
+        assert reader.last_seq(0) == 8
+        assert reader.read_since(0, since=8) == []
+        assert reader.read_since(0, since=7)[0]["seq"] == 8
+
+    def test_torn_tail_is_read_not_healed_then_seen_healed(self, tmp_path):
+        writer = CatalogJournal(tmp_path / "journal", num_shards=1)
+        for n in range(2):
+            writer.append(0, {"n": n})
+        (segment,) = writer.segments(0)
+        with open(segment, "ab") as handle:
+            handle.write(encode_entry({"n": 2, "seq": 3})[:7])
+        torn_size = os.path.getsize(segment)
+        reader = CatalogJournal(tmp_path / "journal", num_shards=1)
+        assert reader.last_seq(0) == 2
+        assert reader.read_since(0, since=1)[-1]["seq"] == 2
+        assert os.path.getsize(segment) == torn_size
+        healer = CatalogJournal(tmp_path / "journal", num_shards=1)
+        assert healer.append(0, {"n": 2}) == 3
+        assert reader.last_seq(0) == 3
+
+    def test_poll_pages_entries_across_shards(self, tmp_path):
+        journal = CatalogJournal(tmp_path / "journal", num_shards=3)
+        for shard, count in ((0, 2), (1, 3), (2, 2)):
+            for n in range(count):
+                journal.append(shard, {"n": n})
+        last_seqs, entries = journal.poll([0, 0, 0], 4)
+        assert last_seqs == [2, 3, 2]
+        assert {shard: [e["seq"] for e in page] for shard, page in entries.items()} == {
+            0: [1, 2],
+            1: [1, 2],
+        }
+        last_seqs, entries = journal.poll([2, 2, 0], 4)
+        assert {shard: [e["seq"] for e in page] for shard, page in entries.items()} == {
+            1: [3],
+            2: [1, 2],
+        }
+        with pytest.raises(JournalError):
+            journal.poll([0, 0], 4)
+        with pytest.raises(JournalError):
+            journal.poll([0, 0, 0], 0)
 
 
 class TestRetention:

@@ -361,12 +361,18 @@ class TestFailoverDrill:
 
             # The follower stays healthy (it is the failover target); with a
             # local source the dead primary's journal is still readable on
-            # disk, so replication lag drains to zero.
-            def caught_up():
+            # disk, so replication lag drains to zero.  The lag is worked out
+            # from the follower's last poll, so it counts only once a poll
+            # that began after the kill has finished (two polls on).
+            def replication():
                 _, body, _ = _get(f"{follower_base}/healthz")
-                health = json.loads(body)
-                replication = health.get("replication", {})
-                return replication.get("lag_entries") == 0
+                return json.loads(body).get("replication", {})
+
+            polls_at_kill = replication()["polls"]
+
+            def caught_up():
+                state = replication()
+                return state["polls"] >= polls_at_kill + 2 and state["lag_entries"] == 0
             assert _wait_for(caught_up)
 
             _, body, _ = _get(f"{follower_base}/healthz")

@@ -5,6 +5,7 @@ over HTTP, and the answer must be byte-identical to a direct ``compose()``.
 """
 
 import json
+import os
 import sys
 import time
 import urllib.error
@@ -16,7 +17,13 @@ from repro.catalog import MappingCatalog
 from repro.compose.composer import compose
 from repro.engine import ChainGrower, compose_chain
 from repro.literature.problems import problem_by_name
-from repro.service import CompositionService, ServiceConfig, ServiceHTTPServer
+from repro.service import (
+    CompositionService,
+    HTTPJournalSource,
+    ReplicationFollower,
+    ServiceConfig,
+    ServiceHTTPServer,
+)
 from repro.textio.format import problem_to_text
 from repro.textio.records import (
     chain_to_text,
@@ -114,6 +121,38 @@ class TestEndpoints:
         metrics = json.loads(body)
         assert metrics["requests"]["completed"] >= 1
         assert "checkpoints" in metrics and "phases" in metrics
+
+    def test_served_composes_list_no_checkpoint_directory(self, stack, monkeypatch):
+        catalog, _, base = stack
+        directory = os.fspath(catalog.checkpoints.directory)
+        listed = []
+        scandir, listdir = os.scandir, os.listdir
+
+        def spying_scandir(path="."):
+            if os.fspath(path) == directory:
+                listed.append("scandir")
+            return scandir(path)
+
+        def spying_listdir(path="."):
+            if os.fspath(path) == directory:
+                listed.append("listdir")
+            return listdir(path)
+
+        monkeypatch.setattr(os, "scandir", spying_scandir)
+        monkeypatch.setattr(os, "listdir", spying_listdir)
+        problem = problem_by_name("example1_movies").problem
+        status, _, _ = _post(base + "/compose", problem_to_text(problem))
+        assert status == 200
+        chain = ChainGrower(seed=23, schema_size=4).grow_many(4)
+        status, _, _ = _post(base + "/compose", chain_to_text(chain))
+        assert status == 200
+        assert listed == []
+        # A reader that asks still gets the count.
+        _, body = _get(base + "/metrics")
+        on_disk = len(list(catalog.checkpoints.directory.glob("*.ckpt")))
+        assert on_disk > 0
+        assert json.loads(body)["checkpoints"]["disk_entries"] == on_disk
+        assert listed
 
     def test_catalog_endpoints(self, stack):
         catalog, _, base = stack
@@ -325,8 +364,7 @@ class TestReplicaAcks:
         catalog, service, base = rstack
         # A follower far ahead on every shard: the ack wait is satisfied
         # the moment the entry lands.
-        for shard in range(16):
-            service.record_follower_applied("f1", shard, 10**9)
+        service.record_follower_applied("f1", [10**9] * 16)
         problem = problem_by_name("example1_movies").problem
         status, _, headers = _post(
             base + "/compose?store=acked", problem_to_text(problem)
@@ -339,12 +377,53 @@ class TestReplicaAcks:
 
     def test_journal_poll_piggybacks_the_ack(self, rstack):
         catalog, service, base = rstack
-        status, _ = _get(base + "/journal/3?since=0&follower=f1&applied=7")
+        cursors = [shard + 1 for shard in range(16)]
+        status, body = _get(
+            base + f"/journal?since={','.join(map(str, cursors))}&follower=f1"
+        )
         assert status == 200
-        assert service.replica_applied_seq(3) == 7
+        assert json.loads(body) == {"last_seqs": [0] * 16, "entries": {}}
+        assert [service.replica_applied_seq(shard) for shard in range(16)] == cursors
         # ... and the floor is persisted for GC retention.
         acks = json.loads((catalog.journal.directory / "replica-acks.json").read_text())
-        assert acks["followers"]["f1"]["applied"]["3"] == 7
+        assert acks["followers"]["f1"]["applied"] == {
+            str(shard): shard + 1 for shard in range(16)
+        }
+        # A poll that names no follower acknowledges nothing.
+        _get(base + "/journal?since=" + ",".join(["99"] * 16))
+        assert service.replica_applied_seq(0) == 1
+
+    def test_tailing_http_follower_acks_stored_writes(self, tmp_path):
+        """End to end: a real HTTP follower's polls satisfy replica acks."""
+        catalog = MappingCatalog(tmp_path / "cat")
+        service = CompositionService(
+            catalog, ServiceConfig(ack_level="replica", replica_ack_timeout_seconds=30.0)
+        )
+        service.start()
+        server = ServiceHTTPServer(service, port=0).start()
+        host, port = server.address
+        base = f"http://{host}:{port}"
+        follower = ReplicationFollower(
+            MappingCatalog(tmp_path / "follower"),
+            HTTPJournalSource(base),
+            poll_interval_seconds=0.02,
+        ).start()
+        try:
+            problem = problem_by_name("example1_movies").problem
+            status, _, headers = _post(
+                base + "/compose?store=mirrored", problem_to_text(problem)
+            )
+            assert status == 200
+            assert "x-repro-ack-pending" not in headers
+            # The ack is the follower's cursor: the write is already there.
+            assert "mirrored" in follower.catalog.names("result")
+            shard = service.journal_shard("result", "mirrored")
+            assert service.replica_applied_seq(shard) == catalog.journal.last_seq(shard)
+            assert service.metrics()["replication"]["replica_acks_satisfied"] == 1
+        finally:
+            follower.stop()
+            server.stop()
+            service.stop()
 
     def test_stale_epoch_store_is_409(self, rstack):
         catalog, service, base = rstack

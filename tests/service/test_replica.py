@@ -1,6 +1,9 @@
 """Tests for catalog replication: journal sources, followers, and promotion."""
 
+import http.server
 import json
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -9,12 +12,13 @@ import pytest
 
 from repro.catalog import MappingCatalog
 from repro.engine import ChainGrower
-from repro.exceptions import ReplicationError
+from repro.exceptions import JournalError, ReplicationError
 from repro.service import (
     CompositionService,
     HTTPJournalSource,
     LocalJournalSource,
     ReplicationFollower,
+    RouterHTTPServer,
     ServiceConfig,
     ServiceHTTPServer,
     open_source,
@@ -82,13 +86,18 @@ class TestSources:
         with pytest.raises(ReplicationError):
             open_source("ftp://example.test")
 
-    def test_local_source_reads_live_journal(self, primary, mappings):
+    def test_local_source_polls_live_journal(self, primary, mappings):
         primary.put_mapping("m", mappings[0])
         source = LocalJournalSource(primary.root)
         shard = primary._shard_id("mapping", "m")
-        entries = source.read_since(shard, 0)
-        assert [entry["op"] for entry in entries] == ["put"]
-        assert source.last_seqs()[shard] == 1
+        last_seqs, entries = source.poll([0] * 16, 256)
+        assert len(last_seqs) == 16
+        assert last_seqs[shard] == 1
+        assert list(entries) == [shard]
+        assert [entry["op"] for entry in entries[shard]] == ["put"]
+        cursors = [0] * 16
+        cursors[shard] = 1
+        assert source.poll(cursors, 256) == (last_seqs, {})
 
     def test_http_source_round_trip(self, primary_server, mappings):
         primary, base = primary_server
@@ -96,12 +105,65 @@ class TestSources:
         source = HTTPJournalSource(base)
         shard = primary._shard_id("mapping", "m")
         try:
-            entries = source.read_since(shard, 0)
-            assert [entry["name"] for entry in entries] == ["m"]
-            assert source.read_since(shard, since=1) == []
-            assert source.last_seqs()[shard] == 1
+            last_seqs, entries = source.poll([0] * 16, 256)
+            assert [entry["name"] for entry in entries[shard]] == ["m"]
+            assert last_seqs[shard] == 1
+            cursors = [0] * 16
+            cursors[shard] = 1
+            assert source.poll(cursors, 256) == (last_seqs, {})
         finally:
             source.close()
+
+    def test_http_source_rejects_malformed_answers(self):
+        """Anything but the expected JSON shape is a ReplicationError."""
+        bodies = [
+            b"<html>not json</html>",
+            b"[1, 2]",
+            json.dumps({"last_seqs": [0] * 15, "entries": {}}).encode(),
+            json.dumps({"last_seqs": [0] * 16, "entries": {"16": []}}).encode(),
+            json.dumps({"last_seqs": [0] * 16, "entries": {"3": [{"op": "put"}]}}).encode(),
+            json.dumps({"last_seqs": ["x"] * 16, "entries": {}}).encode(),
+        ]
+        with _StubPrimary(bodies[0]) as stub:
+            source = HTTPJournalSource(stub.base)
+            for body in bodies:
+                stub.body = body
+                with pytest.raises(ReplicationError):
+                    source.poll([0] * 16, 256)
+            source.close()
+
+
+class _StubPrimary:
+    """A primary that answers every GET with ``200`` and :attr:`body`."""
+
+    def __init__(self, body: bytes):
+        self.body = body
+
+    def __enter__(self) -> "_StubPrimary":
+        stub = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 - stdlib naming
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html")
+                self.send_header("Content-Length", str(len(stub.body)))
+                self.end_headers()
+                self.wfile.write(stub.body)
+
+            def log_message(self, *args):
+                pass
+
+        self.httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        self.thread.start()
+        host, port = self.httpd.server_address[:2]
+        self.base = f"http://{host}:{port}"
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.httpd.shutdown()
+        self.httpd.server_close()
+        self.thread.join()
 
 
 class TestFollower:
@@ -145,6 +207,7 @@ class TestFollower:
         follower = ReplicationFollower(
             replica_catalog, source, poll_interval_seconds=0.02
         )
+        assert follower.lag() is None
         with pytest.raises(ReplicationError):
             follower.catch_up()
         follower.start()
@@ -184,6 +247,70 @@ class TestFollower:
         )
         assert follower.catch_up() == len(mappings)
         _assert_mirrored(primary, replica_catalog, kinds=("mapping",))
+
+    def test_catch_up_pages_a_backlog_across_shards(
+        self, primary, replica_catalog, mappings
+    ):
+        for index, mapping in enumerate(mappings):
+            primary.put_mapping(f"m-{index}", mapping)
+        shards = {primary._shard_id("mapping", f"m-{i}") for i in range(len(mappings))}
+        assert len(shards) > 1
+        source = LocalJournalSource(primary.root)
+        answered = []
+        poll = source.poll
+
+        def counted_poll(cursors, limit):
+            last_seqs, entries = poll(cursors, limit)
+            answered.append(sum(len(page) for page in entries.values()))
+            return last_seqs, entries
+
+        source.poll = counted_poll
+        follower = ReplicationFollower(replica_catalog, source, batch_limit=4)
+        assert follower.catch_up() == len(mappings)
+        # Full answers are polled again; the pass ends on a short one.
+        assert answered == [4, len(mappings) - 4]
+        assert follower.polls == 1
+        assert follower.lag() == 0
+        _assert_mirrored(primary, replica_catalog, kinds=("mapping",))
+
+    def test_lag_comes_from_the_last_poll(
+        self, primary, replica_catalog, mappings, monkeypatch
+    ):
+        source = LocalJournalSource(primary.root)
+        follower = ReplicationFollower(replica_catalog, source)
+        assert follower.lag() is None
+        assert follower.status()["lag_entries"] is None
+        follower.catch_up()
+        assert follower.lag() == 0
+        primary.put_mapping("m", mappings[0])
+        # Nothing asks the source: the lag stays as the last poll saw it.
+        assert follower.lag() == 0
+
+        def failing_poll(cursors, limit):
+            raise JournalError("injected read failure")
+
+        monkeypatch.setattr(source, "poll", failing_poll)
+        with pytest.raises(ReplicationError):
+            follower.catch_up()
+        assert follower.lag() is None
+        assert follower.status()["source_reachable"] is False
+        monkeypatch.undo()
+        assert follower.catch_up() == 1
+        assert follower.lag() == 0
+        assert replica_catalog.names("mapping") == ("m",)
+
+    def test_malformed_answer_is_a_replication_error_and_promote_still_promotes(
+        self, replica_catalog
+    ):
+        with _StubPrimary(b"<html><body>maintenance</body></html>") as stub:
+            follower = ReplicationFollower(replica_catalog, HTTPJournalSource(stub.base))
+            with pytest.raises(ReplicationError):
+                follower.catch_up()
+            assert follower.status()["source_reachable"] is False
+            report = follower.promote()
+        assert report["promoted"] is True
+        assert report["final_catch_up_error"]
+        assert follower.promoted
 
 
 class TestPromotion:
@@ -311,22 +438,137 @@ class TestFollowerHTTP:
         primary, base = primary_server
         primary.put_mapping("m", mappings[0])
         shard = primary._shard_id("mapping", "m")
-        _, payload = self._get_json(f"{base}/journal/{shard}?since=0")
-        assert payload["shard"] == shard
-        assert payload["last_seq"] == 1
-        assert [entry["op"] for entry in payload["entries"]] == ["put"]
-        _, lag_only = self._get_json(f"{base}/journal/{shard}?since=0&limit=0")
-        assert lag_only["entries"] == []
-        assert lag_only["last_seq"] == 1
+        since = ",".join(["0"] * 16)
+        _, payload = self._get_json(f"{base}/journal?since={since}")
+        assert set(payload) == {"last_seqs", "entries"}
+        assert payload["last_seqs"] == [1 if s == shard else 0 for s in range(16)]
+        assert list(payload["entries"]) == [str(shard)]
+        assert [entry["op"] for entry in payload["entries"][str(shard)]] == ["put"]
+        # An idle poll: every last seq, no entries.
+        cursors = ",".join("1" if s == shard else "0" for s in range(16))
+        _, idle = self._get_json(f"{base}/journal?since={cursors}")
+        assert idle == {"last_seqs": payload["last_seqs"], "entries": {}}
+
+    def test_journal_endpoint_pages_a_backlog_across_shards(
+        self, primary_server, mappings
+    ):
+        primary, base = primary_server
+        for index, mapping in enumerate(mappings):
+            primary.put_mapping(f"m-{index}", mapping)
+        cursors = [0] * 16
+        seen = []
+        while True:
+            _, page = self._get_json(
+                f"{base}/journal?since={','.join(map(str, cursors))}&limit=4"
+            )
+            count = sum(len(entries) for entries in page["entries"].values())
+            assert count <= 4
+            for shard, entries in page["entries"].items():
+                seqs = [entry["seq"] for entry in entries]
+                assert seqs == sorted(seqs) and seqs[0] > cursors[int(shard)]
+                cursors[int(shard)] = seqs[-1]
+                seen.extend((entry["kind"], entry["name"]) for entry in entries)
+            if count < 4:
+                break
+        assert cursors == page["last_seqs"]
+        assert sorted(seen) == [("mapping", f"m-{i}") for i in range(len(mappings))]
+        assert len({name for _, name in seen}) > 4  # more than one page, several shards
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "",
+            "?since=" + ",".join(["0"] * 15),
+            "?since=" + ",".join(["0"] * 17),
+            "?since=" + ",".join(["0"] * 15 + ["x"]),
+            "?since=" + ",".join(["0"] * 16) + "&limit=0",
+            "?since=" + ",".join(["0"] * 16) + "&limit=many",
+        ],
+    )
+    def test_journal_endpoint_rejects_a_bad_cursor_list(self, primary_server, query):
+        _, base = primary_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{base}/journal/999", timeout=30)
-        assert excinfo.value.code in (400, 404)
+            urllib.request.urlopen(f"{base}/journal{query}", timeout=30)
+        excinfo.value.close()
+        assert excinfo.value.code == 400
+
+    def test_journal_endpoint_without_catalog_is_404(self):
+        service = CompositionService(None, ServiceConfig())
+        service.start()
+        server = ServiceHTTPServer(service, port=0).start()
+        host, port = server.address
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"http://{host}:{port}/journal?since=" + ",".join(["0"] * 16),
+                    timeout=30,
+                )
+            excinfo.value.close()
+            assert excinfo.value.code == 404
+        finally:
+            server.stop()
+            service.stop()
+
+
+class TestHungPrimary:
+    """A primary that accepts connections but never answers."""
+
+    @pytest.fixture()
+    def hung_primary(self):
+        """A listening socket nobody accepts on: connections queue, no answer."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(16)
+        yield listener
+        listener.close()
+
+    def test_follower_health_and_routed_reads_survive(
+        self, hung_primary, replica_catalog, mappings
+    ):
+        host, port = hung_primary.getsockname()
+        replica_catalog.put_mapping("m", mappings[0])
+        follower = ReplicationFollower(
+            replica_catalog,
+            HTTPJournalSource(f"http://{host}:{port}"),
+            poll_interval_seconds=0.02,
+        ).start()
+        service = CompositionService(replica_catalog, ServiceConfig())
+        service.start()
+        server = ServiceHTTPServer(service, port=0, follower=follower).start()
+        host, port = server.address
+        follower_base = f"http://{host}:{port}"
+        router = RouterHTTPServer(
+            [follower_base], port=0, health_interval_seconds=0.1
+        ).start()
+        router_host, router_port = router.address
+        try:
+            started = time.monotonic()
+            with urllib.request.urlopen(follower_base + "/healthz", timeout=30) as response:
+                health = json.loads(response.read().decode())
+            assert time.monotonic() - started < 0.5
+            assert health["role"] == "follower"
+            assert health["replication"]["lag_entries"] is None
+            assert _wait_for(
+                lambda: router.status()["backends"][0]["healthy"], timeout=10.0
+            )
+            with urllib.request.urlopen(
+                f"http://{router_host}:{router_port}/catalog/mapping/m", timeout=30
+            ) as response:
+                assert response.status == 200
+                assert response.headers["x-repro-backend"] == follower_base
+        finally:
+            router.stop()
+            server.stop()
+            service.stop()
+            # Closing the listener resets the queued connections, so the
+            # tail thread's pending poll fails at once and stop() is quick.
+            hung_primary.close()
+            follower.stop()
 
 
 class TestSourceABC:
-    def test_abstract_methods_raise(self):
+    def test_abstract_poll_raises(self):
         source = JournalSource()
         with pytest.raises(NotImplementedError):
-            source.read_since(0, 0)
-        with pytest.raises(NotImplementedError):
-            source.last_seqs()
+            source.poll([0] * 16, 256)
+        source.close()  # releases nothing, raises nothing
