@@ -174,12 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
         help="claim each request across processes with leases of this TTL "
-        "(enables cross-process dedup; unset disables)",
-    )
-    serve.add_argument(
-        "--lease-wait", type=float, default=None, metavar="SECONDS",
-        help="wait this long for a peer's live claim before composing anyway "
-        "(default: 4x the TTL)",
+        "and wait up to 4x the TTL for a peer's live claim before composing "
+        "anyway (enables cross-process dedup; unset disables)",
     )
     serve.add_argument(
         "--follow", metavar="TARGET", default=None,
@@ -347,8 +343,9 @@ def _cmd_catalog_show(args) -> int:
 
 
 def _cmd_catalog_gc(args) -> int:
-    catalog = _open_catalog(args)
-    report = catalog.gc(
+    from repro.catalog import GcPolicy
+
+    policy = GcPolicy(
         checkpoint_max_files=args.max_checkpoint_files,
         checkpoint_max_age_seconds=args.checkpoint_max_age,
         result_max_age_seconds=args.result_max_age,
@@ -358,8 +355,8 @@ def _cmd_catalog_gc(args) -> int:
         journal_max_segments=args.journal_max_segments,
         journal_max_age_seconds=args.journal_max_age,
         grace_seconds=args.grace,
-        dry_run=args.dry_run,
     )
+    report = _open_catalog(args).gc(policy, dry_run=args.dry_run)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
@@ -455,6 +452,7 @@ def _configure_tracing(default_service: str, trace_log: Optional[str]) -> None:
 
 
 def _cmd_serve(args) -> int:
+    from repro.catalog import GcPolicy
     from repro.service import (
         CompositionService,
         LeaderElector,
@@ -464,27 +462,26 @@ def _cmd_serve(args) -> int:
         open_source,
     )
 
+    config = ServiceConfig(
+        max_pending=args.max_pending,
+        admission=args.admission,
+        deadline_seconds=args.deadline,
+        timeout_seconds=args.timeout,
+        gc_interval_seconds=args.gc_interval,
+        gc_policy=GcPolicy(
+            checkpoint_max_files=args.gc_max_checkpoint_files,
+            checkpoint_max_age_seconds=args.gc_checkpoint_max_age,
+            result_max_age_seconds=args.gc_result_max_age,
+            grace_seconds=args.gc_grace,
+        ),
+        lease_ttl_seconds=args.lease_ttl,
+        ack_level=args.ack_level,
+        replica_ack_timeout_seconds=args.replica_ack_timeout,
+        slow_trace_seconds=args.slow_trace,
+    )
     _configure_tracing(f"serve:{args.port}", args.trace_log)
     catalog = _open_catalog(args)
-    service = CompositionService(
-        catalog,
-        ServiceConfig(
-            max_pending=args.max_pending,
-            admission=args.admission,
-            deadline_seconds=args.deadline,
-            timeout_seconds=args.timeout,
-            gc_interval_seconds=args.gc_interval,
-            gc_checkpoint_max_files=args.gc_max_checkpoint_files,
-            gc_checkpoint_max_age_seconds=args.gc_checkpoint_max_age,
-            gc_result_max_age_seconds=args.gc_result_max_age,
-            gc_grace_seconds=args.gc_grace,
-            lease_ttl_seconds=args.lease_ttl,
-            lease_wait_seconds=args.lease_wait,
-            ack_level=args.ack_level,
-            replica_ack_timeout_seconds=args.replica_ack_timeout,
-            slow_trace_seconds=args.slow_trace,
-        ),
-    )
+    service = CompositionService(catalog, config)
     follower = None
     if args.follow:
         follower = ReplicationFollower(

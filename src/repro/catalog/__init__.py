@@ -5,7 +5,8 @@ Two pieces form the durability layer under :mod:`repro.service`:
 * :mod:`repro.catalog.catalog` — :class:`MappingCatalog`, a disk-backed,
   versioned store of named schemas, mappings, chains, problems and composed
   results, content-addressed by the library's deterministic fingerprints and
-  serialized in the extended plain-text format of :mod:`repro.textio.records`;
+  serialized in the extended plain-text format of :mod:`repro.textio.records`,
+  and :class:`GcPolicy`, the validated bounds of one GC pass over it;
 * :mod:`repro.catalog.checkpoints` — :class:`PersistentCheckpointStore`, the
   on-disk mirror of the hop-checkpoint store, so ``compose_chain`` prefix
   reuse survives process restarts;
@@ -25,7 +26,7 @@ share one catalog root.  Disk reads and writes retry transient errors under
 carries :mod:`repro.faults` injection points exercised by the chaos suite.
 """
 
-from repro.catalog.catalog import KINDS, CatalogEntry, MappingCatalog
+from repro.catalog.catalog import KINDS, CatalogEntry, GcPolicy, MappingCatalog
 from repro.catalog.checkpoints import PersistentCheckpointStore
 from repro.catalog.journal import CatalogJournal, decode_entry, encode_entry, scan_entries
 from repro.catalog.leases import Lease, LeaseTable
@@ -37,6 +38,7 @@ __all__ = [
     "CatalogJournal",
     "MappingCatalog",
     "FileLock",
+    "GcPolicy",
     "Lease",
     "LeaseTable",
     "PersistentCheckpointStore",

@@ -28,9 +28,10 @@ serialized in the extended plain-text format of :mod:`repro.textio.records`
   *processes* appending versions to one catalog root never lose updates;
   readers pick up other processes' writes by re-reading shards whose files
   changed;
-* **bounded growth** — :meth:`MappingCatalog.gc` evicts hop checkpoints by
-  age/LRU and prunes old result versions (the CLI's ``repro catalog gc``;
-  the service can run it as a background sweep); and
+* **bounded growth** — :meth:`MappingCatalog.gc` applies one validated
+  :class:`GcPolicy`: it evicts hop checkpoints by age/LRU, prunes old result
+  and chain versions and drops old journal segments (the CLI's ``repro
+  catalog gc``; the service can run it as a background sweep); and
 * **durable hop checkpoints** — the catalog owns a
   :class:`~repro.catalog.checkpoints.PersistentCheckpointStore` under its
   root, so ``compose_chain`` prefix reuse survives process restarts.
@@ -42,8 +43,10 @@ On-disk layout::
     <root>/objects/<kind>/<name>/v<N>.txt   one record file per stored version
     <root>/checkpoints/<token>.ckpt         pickled hop checkpoints
 
-A legacy single-file ``catalog.json`` index (schema version 1) is migrated
-into shards the first time a catalog of this version opens the root.
+A root that still holds a single-file ``catalog.json`` index (schema
+version 1) is refused with a :class:`~repro.exceptions.CatalogError`: this
+library reads only the sharded index and never mistakes such a root for an
+empty catalog.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from repro.catalog.journal import CatalogJournal
 from repro.catalog.storage import FileLock, atomic_write_text
 from repro.compose.result import CompositionResult
 from repro.retry import RetryPolicy, RetryStats
-from repro.engine.checkpoint import DEFAULT_MAX_CHECKPOINTS
 from repro.engine.fingerprint import chain_fingerprint
 from repro.exceptions import CatalogError, JournalError, ParseError, StaleEpochError
 from repro.mapping.composition_problem import CompositionProblem
@@ -88,7 +90,7 @@ from repro.textio.records import (
     signature_to_text,
 )
 
-__all__ = ["CatalogEntry", "MappingCatalog", "KINDS"]
+__all__ = ["CatalogEntry", "GcPolicy", "MappingCatalog", "KINDS"]
 
 #: The kinds of objects the catalog stores, in display order.
 KINDS = ("schema", "mapping", "chain", "problem", "result")
@@ -101,9 +103,9 @@ _LEGACY_INDEX_FILE = "catalog.json"
 _INDEX_SCHEMA_VERSION = 2
 _NUM_SHARDS = 16
 
-#: Default bound on waiting for a shard lock held by a live peer; a crashed
-#: peer releases instantly (fd-held flock), so only a stalled process can
-#: consume this.
+#: Bound on waiting for a shard lock held by a live peer; a crashed peer
+#: releases instantly (fd-held flock), so only a stalled process can consume
+#: this.
 DEFAULT_LOCK_TIMEOUT_SECONDS = 30.0
 
 #: A chain version stored as a delta is reconstructed by walking its base
@@ -137,6 +139,67 @@ class CatalogEntry:
             f"<CatalogEntry {self.kind}/{self.name} v{self.version} "
             f"{self.fingerprint[:8]}>"
         )
+
+
+@dataclass(frozen=True)
+class GcPolicy:
+    """The bounds of one :meth:`MappingCatalog.gc` pass, validated once.
+
+    Every bound left at ``None`` disables its rule.
+
+    * ``checkpoint_max_files`` / ``checkpoint_max_age_seconds`` evict hop
+      checkpoints least-recently-used first (mtimes are freshened on every
+      hit) and by age; retained checkpoints keep working — prefix reuse needs
+      only the deepest matching file.
+    * ``result_max_age_seconds`` / ``result_keep_versions`` prune stored
+      *result* versions: the newest ``result_keep_versions`` versions of each
+      name are always retained (1 when unset — the latest version is never
+      pruned), and with an age bound only older versions beyond that go.
+    * ``chain_max_age_seconds`` / ``chain_keep_versions`` prune stored
+      *chain* versions the same way, except that a version any retained
+      version still references — directly or transitively — through its
+      ``delta_base`` is never evicted, so every surviving delta remains
+      materializable.  Schemas, mappings and problems are never pruned — they
+      are the modeled history.
+    * ``journal_max_segments`` / ``journal_max_age_seconds`` drop old
+      replication-journal segments per shard (the active tail always
+      survives); a follower older than the retention window must re-seed.
+    * ``grace_seconds`` is the multi-process age floor: checkpoints used and
+      versions created within the last ``grace_seconds`` are never evicted,
+      whatever the other bounds say — so a sweep in one process cannot race a
+      peer that wrote (and is about to reuse) an entry moments ago.
+
+    A negative (or NaN) count, age or grace, a keep-versions bound below 1
+    and a ``journal_max_segments`` below 1 raise
+    :class:`~repro.exceptions.CatalogError`.
+    """
+
+    checkpoint_max_files: Optional[int] = None
+    checkpoint_max_age_seconds: Optional[float] = None
+    result_max_age_seconds: Optional[float] = None
+    result_keep_versions: Optional[int] = None
+    chain_max_age_seconds: Optional[float] = None
+    chain_keep_versions: Optional[int] = None
+    journal_max_segments: Optional[int] = None
+    journal_max_age_seconds: Optional[float] = None
+    grace_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in (
+            "checkpoint_max_files",
+            "checkpoint_max_age_seconds",
+            "result_max_age_seconds",
+            "chain_max_age_seconds",
+            "journal_max_age_seconds",
+            "grace_seconds",
+        ):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise CatalogError(f"{name} must be non-negative, not {value!r}")
+        for name in ("result_keep_versions", "chain_keep_versions", "journal_max_segments"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise CatalogError(f"{name} must be positive, not {value!r}")
 
 
 def _utc_now() -> str:
@@ -183,31 +246,34 @@ class MappingCatalog:
     of the index, and version numbers are assigned from the freshly re-read
     shard, so concurrent ``put_*`` calls from separate processes append
     distinct versions instead of overwriting each other).
+
+    The root is the only parameter.  Every handle journals every mutation,
+    waits at most :data:`DEFAULT_LOCK_TIMEOUT_SECONDS` for a shard lock,
+    retries transient disk errors under the default
+    :class:`~repro.retry.RetryPolicy`, and keeps at most
+    :data:`~repro.engine.checkpoint.DEFAULT_MAX_CHECKPOINTS` hop checkpoints
+    in memory.
     """
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        checkpoint_max_entries: int = DEFAULT_MAX_CHECKPOINTS,
-        lock_timeout_seconds: Optional[float] = DEFAULT_LOCK_TIMEOUT_SECONDS,
-        retry_policy: Optional[RetryPolicy] = None,
-        journal: bool = True,
-    ):
+    def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
+        legacy = self.root / _LEGACY_INDEX_FILE
+        if legacy.exists():
+            raise CatalogError(
+                f"{legacy} is a single-file catalog index (schema version 1); "
+                f"this library reads only the sharded index under "
+                f"{self.root / _INDEX_DIR} and will not open this root"
+            )
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
-        self._lock_timeout = lock_timeout_seconds
-        self._retry = retry_policy or RetryPolicy()
+        self._retry = RetryPolicy()
         #: Classified retry counters of every disk operation this handle ran;
         #: surfaced through :meth:`stats` and the service's ``/metrics``.
         self.retry_stats = RetryStats()
-        self._checkpoint_max_entries = checkpoint_max_entries
         self._checkpoints: Optional[PersistentCheckpointStore] = None
         #: Write-ahead replication journal: every index mutation is journaled
         #: (fsynced) before it is published, so replicas can tail and mirror
-        #: this root.  ``journal=False`` disables the writes (the journal can
-        #: still be *read* through :attr:`journal`).
-        self._journal_enabled = journal
+        #: this root.
         self._journal: Optional[CatalogJournal] = None
         #: The fencing epoch this handle writes at (lazily adopted from the
         #: persisted ``EPOCH`` marker on first use; raised by promotion and
@@ -216,7 +282,6 @@ class MappingCatalog:
         #: Per-shard cache: shard id -> (file stat stamp, entries).  A stale
         #: stamp means another process wrote the shard; it is then re-read.
         self._shards: Dict[int, Tuple[Optional[tuple], _ShardEntries]] = {}
-        self._migrate_legacy_index()
 
     # -- index sharding ------------------------------------------------------------
 
@@ -298,13 +363,15 @@ class MappingCatalog:
         returns ``(result, changed)``; the shard file is rewritten only when
         ``changed`` is true.
 
-        The shard lock is taken with the catalog's ``lock_timeout_seconds``
+        The shard lock is taken with :data:`DEFAULT_LOCK_TIMEOUT_SECONDS`
         (a live peer stalling past it raises
         :class:`~repro.exceptions.CatalogLockTimeoutError`); transient I/O
         faults during acquisition are retried under the retry policy.
         """
         with self._lock:
-            lock = FileLock(self._shard_lock_path(shard), timeout=self._lock_timeout)
+            lock = FileLock(
+                self._shard_lock_path(shard), timeout=DEFAULT_LOCK_TIMEOUT_SECONDS
+            )
             with obs.span("catalog.shard_lock", shard=shard):
                 self._retry.run(
                     lock.acquire, stats=self.retry_stats, description=f"lock shard {shard}"
@@ -328,59 +395,6 @@ class MappingCatalog:
                 combined.setdefault(kind, {}).update(by_name)
         return combined
 
-    def _migrate_legacy_index(self) -> None:
-        """Split a schema-version-1 single-file index into shards (one-shot).
-
-        Serialized across processes by the migration lock; completion is
-        marked by renaming the legacy file, so a crashed migration simply
-        re-runs (shard writes are idempotent — the legacy file's contents
-        are authoritative until the rename).
-        """
-        legacy = self.root / _LEGACY_INDEX_FILE
-        if not legacy.exists():
-            return
-        with FileLock(self.root / _INDEX_DIR / "migrate.lock", timeout=self._lock_timeout):
-            if not legacy.exists():
-                return  # another process migrated while we waited
-            try:
-                payload = json.loads(legacy.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise CatalogError(f"cannot read catalog index {legacy}: {exc}") from exc
-            if payload.get("schema_version") != 1:
-                raise CatalogError(
-                    f"catalog index {legacy} has schema version "
-                    f"{payload.get('schema_version')!r}; cannot migrate"
-                )
-            shards: Dict[int, _ShardEntries] = {}
-            for kind, by_name in payload.get("entries", {}).items():
-                for name, versions in by_name.items():
-                    shard = shards.setdefault(self._shard_id(kind, name), {})
-                    shard.setdefault(kind, {})[name] = versions
-            for shard_id, entries in shards.items():
-                # Migrated records are journaled like fresh puts, so a replica
-                # tailing this root mirrors the pre-migration history too.
-                for kind, by_name in entries.items():
-                    for name, versions in by_name.items():
-                        for record in versions:
-                            try:
-                                text = (self.root / record["path"]).read_text(
-                                    encoding="utf-8"
-                                )
-                            except OSError:
-                                continue  # a missing object file: index-only entry
-                            self._journal_append(
-                                shard_id,
-                                {
-                                    "op": "put",
-                                    "kind": kind,
-                                    "name": name,
-                                    "record": dict(record),
-                                    "text": text,
-                                },
-                            )
-                self._write_shard(shard_id, entries)
-            legacy.rename(legacy.with_name(_LEGACY_INDEX_FILE + ".migrated"))
-
     # -- replication journal -------------------------------------------------------
 
     @property
@@ -393,16 +407,14 @@ class MappingCatalog:
                 )
             return self._journal
 
-    def _journal_append(
-        self, shard: int, payload: dict, seq: Optional[int] = None
-    ) -> Optional[int]:
+    def _journal_append(self, shard: int, payload: dict, seq: Optional[int] = None) -> int:
         """Journal one mutation (write-ahead: before the index publish).
 
         Called from inside :meth:`_mutate_shard`'s locked cycle, so sequence
         assignment is serialized across processes.  Retried under the retry
         policy: a torn first attempt leaves a torn tail that the retry's
         rescan heals before appending cleanly.  Returns the appended sequence
-        number (``None`` with journaling disabled).
+        number.
 
         A *local* write (``seq=None``) is fenced: if this root carries a
         higher-epoch ``FENCED`` tombstone or the persisted epoch has outrun
@@ -411,8 +423,6 @@ class MappingCatalog:
         index is never published either.  Mirrored appends (``seq`` given)
         are exempt, so a fenced root can still be re-seeded as a follower.
         """
-        if not self._journal_enabled:
-            return None
         if seq is None:
             payload = self._fence_check_and_stamp(payload)
             context = obs.current()
@@ -462,14 +472,6 @@ class MappingCatalog:
                 self._epoch = self.journal.read_epoch()
             return self._epoch
 
-    def adopt_epoch(self) -> int:
-        """Re-read the persisted epoch and raise this handle's to match."""
-        with self._lock:
-            persisted = self.journal.read_epoch()
-            if self._epoch is None or persisted > self._epoch:
-                self._epoch = persisted
-            return self._epoch
-
     def bump_epoch(self) -> int:
         """Mint the next fencing epoch (persisted, then adopted); returns it.
 
@@ -511,10 +513,7 @@ class MappingCatalog:
         """The catalog's durable hop-checkpoint store (created lazily)."""
         with self._lock:
             if self._checkpoints is None:
-                self._checkpoints = PersistentCheckpointStore(
-                    self.root / "checkpoints",
-                    max_entries=self._checkpoint_max_entries,
-                )
+                self._checkpoints = PersistentCheckpointStore(self.root / "checkpoints")
             return self._checkpoints
 
     # -- generic storage -----------------------------------------------------------
@@ -848,63 +847,29 @@ class MappingCatalog:
 
     # -- garbage collection --------------------------------------------------------
 
-    def gc(
-        self,
-        checkpoint_max_files: Optional[int] = None,
-        checkpoint_max_age_seconds: Optional[float] = None,
-        result_max_age_seconds: Optional[float] = None,
-        result_keep_versions: Optional[int] = None,
-        chain_max_age_seconds: Optional[float] = None,
-        chain_keep_versions: Optional[int] = None,
-        journal_max_segments: Optional[int] = None,
-        journal_max_age_seconds: Optional[float] = None,
-        grace_seconds: float = 0.0,
-        dry_run: bool = False,
-    ) -> dict:
+    def gc(self, policy: GcPolicy, dry_run: bool = False) -> dict:
         """Bound the catalog's disk growth (checkpoints, history, journal).
 
-        * ``checkpoint_max_files`` / ``checkpoint_max_age_seconds`` evict hop
-          checkpoints least-recently-used first (mtimes are freshened on
-          every hit) and by age; retained checkpoints keep working — prefix
-          reuse needs only the deepest matching file.
-        * ``result_max_age_seconds`` / ``result_keep_versions`` prune stored
-          *result* versions: the newest ``result_keep_versions`` versions of
-          each name are always retained (default 1 — the latest version is
-          never pruned), and with an age bound only older versions beyond
-          that are removed.
-        * ``chain_max_age_seconds`` / ``chain_keep_versions`` prune stored
-          *chain* versions the same way, with one extra guard: a version that
-          any retained version still references — directly or transitively —
-          through its ``delta_base`` is never evicted, whatever the age and
-          keep policies say, so every surviving delta remains materializable.
-          Schemas, mappings and problems are never pruned — they are the
-          modeled history.
-        * ``journal_max_segments`` / ``journal_max_age_seconds`` drop old
-          replication-journal segments per shard (the active tail always
-          survives); a follower older than the retention window must re-seed.
+        ``policy`` says what goes (see :class:`GcPolicy`; its bounds were
+        validated when it was built).  ``dry_run`` reports what would be
+        removed without touching disk.  Safe to run concurrently with other
+        processes: index pruning happens under the shard locks (record files
+        are unlinked after the index no longer references them), and every
+        eviction is journaled so replicas mirror the pruning too.
 
-        Parameters left at ``None`` disable that policy.  ``grace_seconds``
-        is the multi-process age floor: checkpoints used and versions created
-        within the last ``grace_seconds`` are never evicted, no matter what
-        the other policies say — so a sweep in one process cannot race a
-        peer that wrote (and is about to reuse) an entry microseconds ago.
-        ``dry_run`` reports what would be removed without touching disk.
-        Safe to run concurrently with other processes: index pruning happens
-        under the shard locks (record files are unlinked after the index no
-        longer references them), and every eviction is journaled so replicas
-        mirror the pruning too.
+        Returns one ``{"examined", "removed", "retained"}`` section per
+        ``checkpoints``, ``results``, ``chains`` and ``journal``, plus
+        ``dry_run`` and ``grace_seconds``.
         """
-        if result_keep_versions is not None and result_keep_versions < 1:
-            raise CatalogError("result_keep_versions must be positive")
-        if chain_keep_versions is not None and chain_keep_versions < 1:
-            raise CatalogError("chain_keep_versions must be positive")
-        if grace_seconds < 0:
-            raise CatalogError("grace_seconds must be non-negative")
+        grace_seconds = policy.grace_seconds
         report: dict = {"dry_run": dry_run, "grace_seconds": grace_seconds}
-        if checkpoint_max_files is not None or checkpoint_max_age_seconds is not None:
+        if (
+            policy.checkpoint_max_files is not None
+            or policy.checkpoint_max_age_seconds is not None
+        ):
             report["checkpoints"] = self.checkpoints.gc(
-                max_files=checkpoint_max_files,
-                max_age_seconds=checkpoint_max_age_seconds,
+                max_files=policy.checkpoint_max_files,
+                max_age_seconds=policy.checkpoint_max_age_seconds,
                 grace_seconds=grace_seconds,
                 dry_run=dry_run,
             )
@@ -913,17 +878,20 @@ class MappingCatalog:
 
         now = time.time()
         report["results"] = self._prune_versions(
-            "result", result_keep_versions, result_max_age_seconds,
+            "result", policy.result_keep_versions, policy.result_max_age_seconds,
             grace_seconds, now, dry_run,
         )
         report["chains"] = self._prune_versions(
-            "chain", chain_keep_versions, chain_max_age_seconds,
+            "chain", policy.chain_keep_versions, policy.chain_max_age_seconds,
             grace_seconds, now, dry_run,
         )
-        if journal_max_segments is not None or journal_max_age_seconds is not None:
+        if (
+            policy.journal_max_segments is not None
+            or policy.journal_max_age_seconds is not None
+        ):
             report["journal"] = self.journal.gc(
-                max_segments=journal_max_segments,
-                max_age_seconds=journal_max_age_seconds,
+                max_segments=policy.journal_max_segments,
+                max_age_seconds=policy.journal_max_age_seconds,
                 dry_run=dry_run,
             )
         else:

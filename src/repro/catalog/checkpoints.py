@@ -76,10 +76,7 @@ class PersistentCheckpointStore(CheckpointStore):
     """
 
     def __init__(
-        self,
-        directory: Union[str, Path],
-        max_entries: int = DEFAULT_MAX_CHECKPOINTS,
-        retry_policy: Optional[RetryPolicy] = None,
+        self, directory: Union[str, Path], max_entries: int = DEFAULT_MAX_CHECKPOINTS
     ):
         super().__init__(max_entries=max_entries)
         self.directory = Path(directory)
@@ -89,7 +86,7 @@ class PersistentCheckpointStore(CheckpointStore):
         self.disk_invalid = 0
         self.disk_errors = 0
         self.disk_skipped = 0
-        self._retry = retry_policy or RetryPolicy()
+        self._retry = RetryPolicy()
         self.retry_stats = RetryStats()
         self._write_gate: Optional[Callable[[], bool]] = None
         self._on_persist_failure: Optional[Callable[[BaseException], None]] = None

@@ -2,10 +2,10 @@
 
 A shared catalog root (PR 6-7) keeps *one host's* processes consistent; this
 module is the cross-host half.  Every index mutation the catalog publishes —
-a ``put`` appending a version, a GC ``evict``, a legacy-index migration — is
-first appended, fsynced, to this journal, so a replica that tails the journal
-and applies its entries reconstructs a fingerprint-identical catalog without
-ever reading the primary's index shards.
+a ``put`` appending a version or a GC ``evict`` — is first appended,
+fsynced, to this journal, so a replica that tails the journal and applies
+its entries reconstructs a fingerprint-identical catalog without ever
+reading the primary's index shards.
 
 Layout and format
 -----------------

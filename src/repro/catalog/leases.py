@@ -221,12 +221,7 @@ class LeaseTable:
                 self._takeovers += 1
         return lease
 
-    def wait_acquire(
-        self,
-        key: str,
-        timeout: float,
-        poll_seconds: Optional[float] = None,
-    ) -> Lease:
+    def wait_acquire(self, key: str, timeout: float) -> Lease:
         """Claim ``key``, polling until the live holder releases, dies, or expires.
 
         Raises :class:`~repro.exceptions.LeaseUnavailableError` when a live
@@ -236,7 +231,7 @@ class LeaseTable:
         if timeout < 0:
             raise ValueError("timeout must be non-negative")
         deadline = time.monotonic() + timeout
-        pause = poll_seconds if poll_seconds is not None else _WAIT_POLL_MIN_SECONDS
+        pause = _WAIT_POLL_MIN_SECONDS
         while True:
             lease = self.acquire(key)
             if lease is not None:
@@ -248,8 +243,7 @@ class LeaseTable:
                 )
             sleep_for = min(pause * (0.5 + 0.5 * random.random()), remaining)
             time.sleep(sleep_for)
-            if poll_seconds is None:
-                pause = min(pause * 2.0, _WAIT_POLL_MAX_SECONDS)
+            pause = min(pause * 2.0, _WAIT_POLL_MAX_SECONDS)
 
     def renew(self, key: str) -> bool:
         """Extend our claim on ``key``; ``False`` if the lease was lost.

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compose.config import ComposerConfig
 from repro.engine.chain import ChainResult, compose_chain, validate_chain
-from repro.engine.checkpoint import DEFAULT_MAX_CHECKPOINTS, CheckpointStore
+from repro.engine.checkpoint import CheckpointStore
 from repro.exceptions import EngineError
 from repro.mapping.mapping import Mapping
 
@@ -53,8 +53,9 @@ class IncrementalComposer:
         rule change bumps the registry ``version`` — never reuses stale hops).
     retry_residuals:
         Residual-threading mode forwarded to :func:`compose_chain`.
-    checkpoints / checkpoint_max_entries:
-        The hop-checkpoint store to use, or the bound for a fresh one.
+    checkpoints:
+        The hop-checkpoint store to use (a fresh default-bounded
+        :class:`~repro.engine.checkpoint.CheckpointStore` when omitted).
     """
 
     def __init__(
@@ -62,13 +63,11 @@ class IncrementalComposer:
         config: Optional[ComposerConfig] = None,
         retry_residuals: bool = True,
         checkpoints: Optional[CheckpointStore] = None,
-        checkpoint_max_entries: int = DEFAULT_MAX_CHECKPOINTS,
     ):
         self.config = config or ComposerConfig()
         self.retry_residuals = retry_residuals
-        self.checkpoints = checkpoints or CheckpointStore(
-            max_entries=checkpoint_max_entries
-        )
+        # Not ``checkpoints or ...``: an empty store is falsy (``__len__``).
+        self.checkpoints = checkpoints if checkpoints is not None else CheckpointStore()
 
     def compose_chain(self, mappings: Sequence[Mapping]) -> ChainResult:
         """Compose ``mappings``, reusing every checkpointed prefix hop."""

@@ -186,10 +186,10 @@ class ServiceOverloadedError(ServiceError):
 class ServiceDeadlineError(ServiceOverloadedError):
     """A blocking-admission request waited past its deadline for queue space.
 
-    Raised only with ``ServiceConfig(admission="block")`` and a deadline (the
-    service-wide ``deadline_seconds`` or a per-request override): the request
-    blocked for its whole budget without the queue draining below
-    ``max_pending``.  Subclasses :class:`ServiceOverloadedError` because the
-    meaning to the caller is the same — not enqueued, retry later — which
-    also keeps HTTP 429 handling uniform.
+    Raised only with ``ServiceConfig(admission="block")`` and a
+    ``deadline_seconds``: the request blocked for its whole budget without
+    the queue draining below ``max_pending``.  Subclasses
+    :class:`ServiceOverloadedError` because the meaning to the caller is the
+    same — not enqueued, retry later — which also keeps HTTP 429 handling
+    uniform.
     """

@@ -39,7 +39,7 @@
 
 from repro.service.breaker import CircuitBreaker
 from repro.service.election import LeaderElector
-from repro.service.http import ServiceHTTPServer, serve
+from repro.service.http import ServiceHTTPServer
 from repro.service.metrics import ServiceMetrics
 from repro.service.replica import (
     HTTPJournalSource,
@@ -47,7 +47,7 @@ from repro.service.replica import (
     ReplicationFollower,
     open_source,
 )
-from repro.service.router import RouterHTTPServer, route
+from repro.service.router import RouterHTTPServer
 from repro.service.server import CompositionService, ServiceConfig, Ticket
 
 __all__ = [
@@ -63,6 +63,4 @@ __all__ = [
     "ServiceMetrics",
     "Ticket",
     "open_source",
-    "route",
-    "serve",
 ]

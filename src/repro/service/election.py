@@ -89,13 +89,11 @@ class LeaderElector:
         ``GET /healthz`` (any HTTP answer counts as alive, even a 500 —
         a degraded primary is still the primary).
     election_timeout_seconds:
-        Silence threshold before racing, and the ``wait_acquire`` budget.
+        Silence threshold before racing, the ``wait_acquire`` budget, and
+        the TTL of the ``leader`` lease.
     poll_interval_seconds:
         Candidate/leader loop cadence; defaults to a quarter of the
         election timeout.
-    lease_ttl_seconds:
-        TTL of the ``leader`` lease; defaults to the election timeout, so
-        a crashed leader's lease expires on the same clock candidates use.
     health_timeout_seconds:
         Per-probe HTTP timeout for the ``/healthz`` liveness check.
     """
@@ -109,7 +107,6 @@ class LeaderElector:
         primary_url: Optional[str] = None,
         election_timeout_seconds: float = DEFAULT_ELECTION_TIMEOUT_SECONDS,
         poll_interval_seconds: Optional[float] = None,
-        lease_ttl_seconds: Optional[float] = None,
         health_timeout_seconds: float = 1.0,
     ):
         if election_timeout_seconds <= 0:
@@ -118,8 +115,6 @@ class LeaderElector:
             poll_interval_seconds = election_timeout_seconds / 4.0
         if poll_interval_seconds <= 0:
             raise ServiceError("poll_interval_seconds must be positive")
-        if lease_ttl_seconds is None:
-            lease_ttl_seconds = election_timeout_seconds
         self.catalog = catalog
         self.follower = follower
         self.source_root = Path(source_root) if source_root is not None else None
@@ -129,7 +124,9 @@ class LeaderElector:
         self.health_timeout_seconds = health_timeout_seconds
         if election_dir is None:
             election_dir = Path(catalog.root) / "election"
-        self.leases = LeaseTable(election_dir, ttl_seconds=lease_ttl_seconds)
+        # The leader lease lives as long as the election timeout, so a
+        # crashed leader's lease expires on the same clock candidates use.
+        self.leases = LeaseTable(election_dir, ttl_seconds=election_timeout_seconds)
         self._client = PooledClient()
         self._lock = threading.Lock()
         self._stop = threading.Event()

@@ -96,7 +96,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports cata
 from repro.textio.format import problem_from_text
 from repro.textio.records import chain_from_text, detect_kind, mapping_to_text, result_to_text
 
-__all__ = ["ServiceHTTPServer", "serve"]
+__all__ = ["ServiceHTTPServer"]
 
 
 class _Handler(BaseHandler):
@@ -568,23 +568,3 @@ class ServiceHTTPServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-
-def serve(
-    service: CompositionService,
-    host: str = "127.0.0.1",
-    port: int = 8075,
-    verbose: bool = False,
-    follower: "Optional[ReplicationFollower]" = None,
-    elector: "Optional[LeaderElector]" = None,
-    access_log: Optional[str] = None,
-) -> ServiceHTTPServer:
-    """Convenience: build and start a :class:`ServiceHTTPServer`."""
-    return ServiceHTTPServer(
-        service,
-        host=host,
-        port=port,
-        verbose=verbose,
-        follower=follower,
-        elector=elector,
-        access_log=access_log,
-    ).start()

@@ -155,12 +155,12 @@ def _parse_poll(body: bytes, num_shards: int) -> Poll:
     return last_seqs, entries
 
 
-def open_source(target: Union[str, Path], num_shards: int = 16) -> JournalSource:
+def open_source(target: Union[str, Path]) -> JournalSource:
     """A :class:`JournalSource` for a primary's root directory or base URL."""
     text = str(target)
     scheme = urlsplit(text).scheme
     if scheme in ("http", "https"):
-        return HTTPJournalSource(text, num_shards=num_shards)
+        return HTTPJournalSource(text)
     if scheme and scheme not in ("file", ""):
         raise ReplicationError(
             f"cannot follow {text!r}: expected a catalog root path or an http(s) URL"
@@ -172,16 +172,18 @@ def open_source(target: Union[str, Path], num_shards: int = 16) -> JournalSource
         raise ReplicationError(
             f"cannot follow {text!r}: the catalog root does not exist"
         )
-    return LocalJournalSource(path, num_shards=num_shards)
+    return LocalJournalSource(path)
 
 
 class ReplicationFollower:
     """Continuously mirror a primary's journal into one local catalog.
 
-    The follower applies entries shard by shard, oldest first, verifying
-    each applied ``put``'s content fingerprint; counters and per-shard lag
-    are surfaced through :meth:`status` (wired into the serving process's
-    ``/metrics`` and ``/healthz``).
+    The follower applies entries shard by shard, oldest first, and verifies
+    every applied ``put``'s content fingerprint (a mismatch is a
+    :class:`~repro.exceptions.ReplicationError`, counted in
+    ``verify_failures``); counters and per-shard lag are surfaced through
+    :meth:`status` (wired into the serving process's ``/metrics`` and
+    ``/healthz``).
     """
 
     def __init__(
@@ -190,7 +192,6 @@ class ReplicationFollower:
         source: JournalSource,
         poll_interval_seconds: float = DEFAULT_POLL_INTERVAL_SECONDS,
         batch_limit: int = DEFAULT_POLL_LIMIT,
-        verify: bool = True,
     ):
         if poll_interval_seconds <= 0:
             raise ReplicationError("poll_interval_seconds must be positive")
@@ -200,7 +201,6 @@ class ReplicationFollower:
         self.source = source
         self.poll_interval_seconds = poll_interval_seconds
         self.batch_limit = batch_limit
-        self.verify = verify
         self.num_shards = getattr(source, "num_shards", 16)
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -331,7 +331,7 @@ class ReplicationFollower:
             self.entries_skipped += 1
             return 0
         self.entries_applied += 1
-        if self.verify and entry.get("op") == "put":
+        if entry.get("op") == "put":
             record = entry.get("record", {})
             if not self.catalog.verify(
                 entry["kind"], entry["name"], record.get("version")

@@ -54,7 +54,10 @@ from repro import faults, obs
 from repro.exceptions import ServiceError
 from repro.service.wire import TRANSPORT_ERRORS, BaseHandler, KeepAliveServer, PooledClient
 
-__all__ = ["BackendState", "RouterHTTPServer", "route"]
+__all__ = ["BackendState", "RouterHTTPServer"]
+
+#: How long one proxied attempt may wait for its backend's response.
+_REQUEST_TIMEOUT_SECONDS = 60.0
 
 #: Response headers the relay drops: the connection-level ones, the framing
 #: ones the router's own response writer sets, and the backend's trace echo
@@ -183,7 +186,6 @@ class RouterHTTPServer:
         port: int = 8076,
         health_interval_seconds: float = 0.5,
         health_timeout_seconds: float = 2.0,
-        request_timeout_seconds: float = 60.0,
         min_consecutive_ok: int = 2,
         verbose: bool = False,
     ):
@@ -196,7 +198,6 @@ class RouterHTTPServer:
         self.backends = [BackendState(url) for url in backends]
         self.health_interval_seconds = health_interval_seconds
         self.health_timeout_seconds = health_timeout_seconds
-        self.request_timeout_seconds = request_timeout_seconds
         self.min_consecutive_ok = min_consecutive_ok
         self._lock = threading.Lock()
         self._rotation = 0
@@ -362,7 +363,7 @@ class RouterHTTPServer:
                         backend.url + path,
                         body,
                         {"Content-Type": content_type} if content_type else None,
-                        timeout=self.request_timeout_seconds,
+                        timeout=_REQUEST_TIMEOUT_SECONDS,
                     )
                 except TRANSPORT_ERRORS as exc:
                     # The backend is gone mid-request.  Mark it down immediately
@@ -470,19 +471,3 @@ class RouterHTTPServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-
-def route(
-    backends: List[str],
-    host: str = "127.0.0.1",
-    port: int = 8076,
-    health_interval_seconds: float = 0.5,
-    verbose: bool = False,
-) -> RouterHTTPServer:
-    """Convenience: build and start a :class:`RouterHTTPServer`."""
-    return RouterHTTPServer(
-        backends,
-        host=host,
-        port=port,
-        health_interval_seconds=health_interval_seconds,
-        verbose=verbose,
-    ).start()

@@ -10,9 +10,10 @@ all of them at once.  :class:`CompositionService` is that front-end:
   items, new requests are rejected with
   :class:`~repro.exceptions.ServiceOverloadedError`
   (``admission="reject"``, the default) or *block until space frees*
-  (``admission="block"``), optionally bounded by a per-request deadline
-  after which :class:`~repro.exceptions.ServiceDeadlineError` is raised —
-  bursty clients wait instead of erroring, with bounded patience;
+  (``admission="block"``), optionally bounded by the service-wide
+  ``deadline_seconds`` after which
+  :class:`~repro.exceptions.ServiceDeadlineError` is raised — bursty
+  clients wait instead of erroring, with bounded patience;
 * **deduplication** — every request is keyed by the content fingerprint of
   its inputs plus its effective :class:`ComposerConfig`; a request whose key
   matches one that is queued *or currently executing* coalesces onto that
@@ -38,7 +39,8 @@ all of them at once.  :class:`CompositionService` is that front-end:
   with a bounded wait degrading to an explicit pending ack);
 * **bounded disk growth** — with a catalog attached and
   ``gc_interval_seconds`` set, a background sweep runs
-  :meth:`~repro.catalog.MappingCatalog.gc` periodically (checkpoint age/LRU
+  :meth:`~repro.catalog.MappingCatalog.gc` with the configured
+  :class:`~repro.catalog.GcPolicy` periodically (checkpoint age/LRU
   eviction, old result versions), so a long-lived service does not grow its
   catalog without bound; and
 * **metrics** — :meth:`CompositionService.metrics` surfaces queue depths,
@@ -63,7 +65,7 @@ from hashlib import blake2b
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.digest import DIGEST_SIZE
-from repro.catalog.catalog import MappingCatalog
+from repro.catalog.catalog import GcPolicy, MappingCatalog
 from repro.catalog.checkpoints import PersistentCheckpointStore
 from repro.catalog.leases import Lease, LeaseTable
 from repro.catalog.storage import atomic_write_bytes, atomic_write_text
@@ -118,8 +120,7 @@ class ServiceConfig:
     deadline_seconds:
         With ``admission="block"``, how long a submission may wait for queue
         space before :class:`~repro.exceptions.ServiceDeadlineError` is
-        raised; ``None`` waits indefinitely.  Each ``submit_*`` call may
-        override it per request.
+        raised; ``None`` waits indefinitely.
     timeout_seconds:
         Soft per-request budget, forwarded to the underlying
         :class:`~repro.engine.batch.BatchConfig`: a composition that runs
@@ -130,14 +131,15 @@ class ServiceConfig:
     gc_interval_seconds:
         With a catalog attached, run :meth:`~repro.catalog.MappingCatalog.gc`
         in a background sweep every this many seconds (``None``, the default,
-        disables the sweep).  The remaining ``gc_*`` fields are the sweep's
-        policy and mirror the ``gc`` parameters.
-    gc_grace_seconds:
-        Age floor for every sweep: checkpoints used and result versions
-        written within the last ``gc_grace_seconds`` are never evicted.  The
-        default (5 seconds) makes the cross-process "sweep races a peer's
-        fresh write" window impossible at serving time; pass ``0.0`` to
-        restore unconditional eviction (tests, offline compaction).
+        disables the sweep).
+    gc_policy:
+        What every sweep (and :meth:`CompositionService.run_gc`) removes: one
+        :class:`~repro.catalog.GcPolicy`, validated when it is built.  The
+        default bounds nothing and sets a 5-second ``grace_seconds`` age
+        floor, which makes the cross-process "sweep races a peer's fresh
+        write" window impossible at serving time; a policy with
+        ``grace_seconds=0.0`` evicts unconditionally (tests, offline
+        compaction).
     breaker_failure_threshold / breaker_recovery_seconds:
         Circuit-breaker policy over catalog disk writes: after this many
         *consecutive* write failures the service stops touching the disk and
@@ -151,13 +153,11 @@ class ServiceConfig:
         ``<catalog root>/leases`` before executing it, so two service
         processes fed the same request do the work once while the claim is
         live.  A lease outlives crashes by at most ``lease_ttl_seconds`` —
-        dead owners stop renewing and peers take over.  ``None`` (default)
-        disables cross-process claims.
-    lease_wait_seconds:
-        How long a submission waits for a peer's live claim before doing the
+        dead owners stop renewing and peers take over.  A submission waits
+        ``4 * lease_ttl_seconds`` for a peer's live claim before doing the
         work itself anyway (the result is deterministic, so a duplicated
-        composition is wasted CPU, never a wrong answer).  Defaults to
-        ``4 * lease_ttl_seconds``.
+        composition is wasted CPU, never a wrong answer).  ``None`` (default)
+        disables cross-process claims.
     ack_level:
         Durability level of write acknowledgements: ``"journal"`` (the
         default) acks once the entry is fsynced into the local WAL;
@@ -182,19 +182,10 @@ class ServiceConfig:
     timeout_seconds: Optional[float] = None
     composer_config: ComposerConfig = field(default_factory=ComposerConfig)
     gc_interval_seconds: Optional[float] = None
-    gc_checkpoint_max_files: Optional[int] = None
-    gc_checkpoint_max_age_seconds: Optional[float] = None
-    gc_result_max_age_seconds: Optional[float] = None
-    gc_result_keep_versions: Optional[int] = None
-    gc_chain_max_age_seconds: Optional[float] = None
-    gc_chain_keep_versions: Optional[int] = None
-    gc_journal_max_segments: Optional[int] = None
-    gc_journal_max_age_seconds: Optional[float] = None
-    gc_grace_seconds: float = 5.0
+    gc_policy: GcPolicy = GcPolicy(grace_seconds=5.0)
     breaker_failure_threshold: int = 3
     breaker_recovery_seconds: float = 1.0
     lease_ttl_seconds: Optional[float] = None
-    lease_wait_seconds: Optional[float] = None
     ack_level: str = "journal"
     replica_ack_timeout_seconds: float = 2.0
     slow_trace_seconds: Optional[float] = None
@@ -210,24 +201,12 @@ class ServiceConfig:
             raise EngineError("deadline_seconds must be positive")
         if self.gc_interval_seconds is not None and self.gc_interval_seconds <= 0:
             raise EngineError("gc_interval_seconds must be positive")
-        if self.gc_checkpoint_max_files is not None and self.gc_checkpoint_max_files < 0:
-            raise EngineError("gc_checkpoint_max_files must be non-negative")
-        if self.gc_result_keep_versions is not None and self.gc_result_keep_versions < 1:
-            raise EngineError("gc_result_keep_versions must be positive")
-        if self.gc_chain_keep_versions is not None and self.gc_chain_keep_versions < 1:
-            raise EngineError("gc_chain_keep_versions must be positive")
-        if self.gc_journal_max_segments is not None and self.gc_journal_max_segments < 1:
-            raise EngineError("gc_journal_max_segments must be positive")
-        if self.gc_grace_seconds < 0:
-            raise EngineError("gc_grace_seconds must be non-negative")
         if self.breaker_failure_threshold < 1:
             raise EngineError("breaker_failure_threshold must be positive")
         if self.breaker_recovery_seconds < 0:
             raise EngineError("breaker_recovery_seconds must be non-negative")
         if self.lease_ttl_seconds is not None and self.lease_ttl_seconds <= 0:
             raise EngineError("lease_ttl_seconds must be positive")
-        if self.lease_wait_seconds is not None and self.lease_wait_seconds < 0:
-            raise EngineError("lease_wait_seconds must be non-negative")
         if self.ack_level not in ("journal", "replica"):
             raise EngineError(
                 f"ack_level must be 'journal' or 'replica', not {self.ack_level!r}"
@@ -475,30 +454,22 @@ class CompositionService:
     # -- submission ----------------------------------------------------------------
 
     def submit_problem(
-        self,
-        problem: CompositionProblem,
-        config: Optional[ComposerConfig] = None,
-        deadline_seconds: Optional[float] = None,
+        self, problem: CompositionProblem, config: Optional[ComposerConfig] = None
     ) -> Ticket:
         """Queue one composition problem; returns with a ticket once admitted.
 
         ``config=ComposerConfig.cost_guided()`` serves the problem through
-        the cost-guided planner.  ``deadline_seconds`` overrides the
-        service-wide admission deadline for this request (meaningful with
-        ``admission="block"``).
+        the cost-guided planner.
 
         Submissions are accepted before :meth:`start` (they queue, and
         :meth:`start` runs them) but refused after :meth:`stop`.
         """
         effective = config or self.config.composer_config
         key = self._request_key("problem", problem.fingerprint(), effective)
-        return self._enqueue(key, "problem", problem, effective, deadline_seconds)
+        return self._enqueue(key, "problem", problem, effective)
 
     def submit_chain(
-        self,
-        mappings: Sequence[Mapping],
-        config: Optional[ComposerConfig] = None,
-        deadline_seconds: Optional[float] = None,
+        self, mappings: Sequence[Mapping], config: Optional[ComposerConfig] = None
     ) -> Ticket:
         """Queue one chained composition; returns with a ticket once admitted."""
         chain = tuple(mappings)
@@ -506,7 +477,7 @@ class CompositionService:
             raise ServiceError("cannot submit an empty chain")
         effective = config or self.config.composer_config
         key = self._request_key("chain", chain_fingerprint(chain), effective)
-        return self._enqueue(key, "chain", chain, effective, deadline_seconds)
+        return self._enqueue(key, "chain", chain, effective)
 
     def compose(
         self,
@@ -526,21 +497,14 @@ class CompositionService:
         """Submit one chain and block for its result."""
         return self.submit_chain(mappings, config).result(timeout)
 
-    def compose_catalog(
-        self,
-        kind: str,
-        name: str,
-        version: Optional[int] = None,
-        config: Optional[ComposerConfig] = None,
-        timeout: Optional[float] = None,
-    ):
-        """Serve a stored catalog ``problem`` or ``chain`` by name."""
+    def compose_catalog(self, kind: str, name: str):
+        """Serve the latest stored catalog ``problem`` or ``chain`` by name."""
         if self.catalog is None:
             raise ServiceError("this service has no catalog attached")
         if kind == "problem":
-            return self.compose(self.catalog.get_problem(name, version), config, timeout=timeout)
+            return self.compose(self.catalog.get_problem(name))
         if kind == "chain":
-            return self.compose_chain(self.catalog.get_chain(name, version), config, timeout=timeout)
+            return self.compose_chain(self.catalog.get_chain(name))
         raise ServiceError(f"cannot compose catalog kind {kind!r} (expected problem or chain)")
 
     def _request_key(self, kind: str, content: bytes, config: ComposerConfig) -> bytes:
@@ -551,18 +515,9 @@ class CompositionService:
         return h.digest()
 
     def _enqueue(
-        self,
-        key: bytes,
-        kind: str,
-        payload: object,
-        config: ComposerConfig,
-        deadline_seconds: Optional[float] = None,
+        self, key: bytes, kind: str, payload: object, config: ComposerConfig
     ) -> Ticket:
-        budget = (
-            deadline_seconds
-            if deadline_seconds is not None
-            else self.config.deadline_seconds
-        )
+        budget = self.config.deadline_seconds
         deadline = time.monotonic() + budget if budget is not None else None
         blocked = False
         while True:
@@ -778,11 +733,7 @@ class CompositionService:
         """
         if self.leases is None:
             return None
-        wait = (
-            self.config.lease_wait_seconds
-            if self.config.lease_wait_seconds is not None
-            else 4.0 * (self.config.lease_ttl_seconds or 0.0)
-        )
+        wait = 4.0 * self.config.lease_ttl_seconds
         try:
             return self.leases.wait_acquire(item.key.hex(), timeout=wait)
         except (LeaseUnavailableError, CatalogError, OSError):
@@ -809,17 +760,7 @@ class CompositionService:
         """
         if self.catalog is None:
             return None
-        report = self.catalog.gc(
-            checkpoint_max_files=self.config.gc_checkpoint_max_files,
-            checkpoint_max_age_seconds=self.config.gc_checkpoint_max_age_seconds,
-            result_max_age_seconds=self.config.gc_result_max_age_seconds,
-            result_keep_versions=self.config.gc_result_keep_versions,
-            chain_max_age_seconds=self.config.gc_chain_max_age_seconds,
-            chain_keep_versions=self.config.gc_chain_keep_versions,
-            journal_max_segments=self.config.gc_journal_max_segments,
-            journal_max_age_seconds=self.config.gc_journal_max_age_seconds,
-            grace_seconds=self.config.gc_grace_seconds,
-        )
+        report = self.catalog.gc(self.config.gc_policy)
         self._last_gc_monotonic = time.monotonic()
         self.metrics_store.record_gc(report)
         return report
@@ -839,30 +780,16 @@ class CompositionService:
 
     # -- graceful degradation --------------------------------------------------------
 
-    def store_result(self, name: str, result) -> bool:
-        """Store a composition result, gated by the breaker; ``True`` if stored.
+    def store_result_entry(self, name: str, result):
+        """Store a composition result, gated by the breaker; returns its entry.
 
         A degraded service (breaker open) *drops* the write — counted in
         ``catalog_writes_dropped`` — and keeps serving; a failed write feeds
-        the breaker and is counted by exception type.  The composition result
-        the caller holds is unaffected either way.
-        """
-        if self.catalog is None:
-            return False
-        return self._catalog_write(lambda: self.catalog.put_result(name, result))
-
-    def store_mapping(self, name: str, mapping) -> bool:
-        """Store a composed mapping, gated by the breaker; ``True`` if stored."""
-        if self.catalog is None:
-            return False
-        return self._catalog_write(lambda: self.catalog.put_mapping(name, mapping))
-
-    def store_result_entry(self, name: str, result):
-        """Like :meth:`store_result` but returns the :class:`CatalogEntry`.
-
-        ``None`` means the write was dropped (breaker open) or failed; the
-        entry's ``journal_seq`` is what an ``ack_level="replica"`` caller
-        waits on.  :class:`~repro.exceptions.StaleEpochError` propagates.
+        the breaker and is counted by exception type.  Either way the result
+        is ``None`` and the composition result the caller holds is
+        unaffected.  A stored :class:`CatalogEntry`'s ``journal_seq`` is
+        what an ``ack_level="replica"`` caller waits on.
+        :class:`~repro.exceptions.StaleEpochError` propagates.
         """
         if self.catalog is None:
             return None
@@ -871,7 +798,7 @@ class CompositionService:
         return box[0] if ok and box else None
 
     def store_mapping_entry(self, name: str, mapping):
-        """Like :meth:`store_mapping` but returns the :class:`CatalogEntry`."""
+        """Like :meth:`store_result_entry`, for a composed mapping."""
         if self.catalog is None:
             return None
         box: list = []
@@ -934,25 +861,21 @@ class CompositionService:
             best = max(best, int(follower.get("applied", {}).get(shard, 0)))
         return best
 
-    def await_replica_ack(
-        self, kind: str, name: str, entry, timeout: Optional[float] = None
-    ) -> bool:
+    def await_replica_ack(self, kind: str, name: str, entry) -> bool:
         """Block until a follower confirms ``entry``'s journal seq; ``True`` if acked.
 
-        ``False`` means the ack did not arrive within the budget — the write
-        is journal-durable but not yet known mirrored (the HTTP layer's
-        ``202 + x-repro-ack-pending`` degraded ack).  Entries that never
-        journaled (deduped writes, no catalog) are trivially acked.
+        ``False`` means the ack did not arrive within
+        ``replica_ack_timeout_seconds`` — the write is journal-durable but
+        not yet known mirrored (the HTTP layer's ``202 + x-repro-ack-pending``
+        degraded ack).  Entries that never journaled (deduped writes, no
+        catalog) are trivially acked.
         """
         seq = getattr(entry, "journal_seq", None)
         if seq is None:
             return True
         shard = self.journal_shard(kind, name)
-        budget = (
-            timeout if timeout is not None else self.config.replica_ack_timeout_seconds
-        )
         started = time.monotonic()
-        deadline = started + budget
+        deadline = started + self.config.replica_ack_timeout_seconds
         with self._ack_cond:
             while self._replica_applied_locked(shard) < seq:
                 remaining = deadline - time.monotonic()

@@ -1,10 +1,12 @@
 """Tests for the disk-backed mapping catalog and the persistent checkpoint store."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from repro.catalog import MappingCatalog, PersistentCheckpointStore
+from repro.catalog import GcPolicy, MappingCatalog, PersistentCheckpointStore
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
 from repro.engine import ChainGrower, compose_chain
@@ -102,25 +104,33 @@ class TestPersistence:
                 found.setdefault(kind, {}).update(by_name)
         assert found["mapping"]["m"][0]["version"] == 1
 
-    def test_legacy_single_file_index_is_migrated(self, tmp_path, chain):
+    def test_legacy_single_file_index_is_refused(self, tmp_path, chain):
         catalog = MappingCatalog(tmp_path / "catalog")
         catalog.put_mapping("m", chain[0])
-        catalog.put_mapping("m", chain[1])
         catalog.put_schema("s", chain[0].input_signature)
-        # Rebuild a schema-version-1 single-file index from the shards, drop
-        # the shards, and reopen: the catalog must migrate transparently.
+        # Rebuild a schema-version-1 single-file index from the shards and
+        # drop the shards: reopening must refuse the root, naming the file,
+        # rather than read it as an empty catalog.
         entries = {}
         for shard in (catalog.root / "index").glob("shard-*.json"):
             for kind, by_name in json.loads(shard.read_text())["entries"].items():
                 entries.setdefault(kind, {}).update(by_name)
             shard.unlink()
         legacy = catalog.root / "catalog.json"
-        legacy.write_text(json.dumps({"schema_version": 1, "entries": entries}))
-        reopened = MappingCatalog(tmp_path / "catalog")
-        assert not legacy.exists()
-        assert reopened.get_mapping("m") == chain[1]
-        assert reopened.get_mapping("m", version=1) == chain[0]
-        assert reopened.get_schema("s") == chain[0].input_signature
+        text = json.dumps({"schema_version": 1, "entries": entries})
+        legacy.write_text(text)
+        with pytest.raises(CatalogError, match="catalog.json"):
+            MappingCatalog(tmp_path / "catalog")
+        assert legacy.read_text() == text
+        assert not list((catalog.root / "index").glob("shard-*.json"))
+
+    def test_constructor_takes_only_the_root(self, tmp_path):
+        # The lock timeout, retry policy and checkpoint bound are fixed, and
+        # every handle journals: no caller ever set them.
+        assert list(inspect.signature(MappingCatalog).parameters) == ["root"]
+        for knob in ("checkpoint_max_entries", "lock_timeout_seconds", "retry_policy", "journal"):
+            with pytest.raises(TypeError):
+                MappingCatalog(tmp_path / "catalog", **{knob: None})
 
     def test_record_files_are_the_text_format(self, catalog, chain):
         entry = catalog.put_mapping("m", chain[0], description="readable on disk")
@@ -216,10 +226,10 @@ class TestCatalogGC:
         second = compose(problem_by_name("example3_inclusion_chain").problem)
         catalog.put_result("r", first)
         catalog.put_result("r", second)
-        report = catalog.gc(result_keep_versions=1, dry_run=True)
+        report = catalog.gc(GcPolicy(result_keep_versions=1), dry_run=True)
         assert report["results"]["removed"] == 1
         assert len(catalog.versions("result", "r")) == 2  # dry run touches nothing
-        report = catalog.gc(result_keep_versions=1)
+        report = catalog.gc(GcPolicy(result_keep_versions=1))
         assert report["results"] == {"examined": 2, "removed": 1, "retained": 1}
         assert [e.version for e in catalog.versions("result", "r")] == [2]
         assert catalog.get_result("r").constraints.to_text() == second.constraints.to_text()
@@ -229,7 +239,7 @@ class TestCatalogGC:
     def test_result_gc_age_bound_spares_recent_versions(self, catalog):
         catalog.put_result("r", compose(problem_by_name("example1_movies").problem))
         catalog.put_result("r", compose(problem_by_name("example3_inclusion_chain").problem))
-        report = catalog.gc(result_keep_versions=1, result_max_age_seconds=3600)
+        report = catalog.gc(GcPolicy(result_keep_versions=1, result_max_age_seconds=3600))
         assert report["results"]["removed"] == 0  # both versions are younger than 1h
         assert len(catalog.versions("result", "r")) == 2
 
@@ -238,7 +248,7 @@ class TestCatalogGC:
         catalog = MappingCatalog(tmp_path / "catalog")
         compose_chain(chain, checkpoints=catalog.checkpoints)
         assert catalog.checkpoints.disk_entries() == hops
-        report = catalog.gc(checkpoint_max_files=2)
+        report = catalog.gc(GcPolicy(checkpoint_max_files=2))
         assert report["checkpoints"]["removed"] == hops - 2
         assert catalog.checkpoints.disk_entries() == 2
         # LRU retains the most recently written = deepest checkpoints, and a
@@ -258,9 +268,69 @@ class TestCatalogGC:
         stale = _time.time() - 7200
         for path in paths[:2]:
             _os.utime(path, (stale, stale))
-        report = catalog.gc(checkpoint_max_age_seconds=3600)
+        report = catalog.gc(GcPolicy(checkpoint_max_age_seconds=3600))
         assert report["checkpoints"]["removed"] == 2
         assert catalog.checkpoints.disk_entries() == len(chain) - 1 - 2
+
+
+class TestGcPolicy:
+    _NON_NEGATIVE = (
+        "checkpoint_max_files",
+        "checkpoint_max_age_seconds",
+        "result_max_age_seconds",
+        "chain_max_age_seconds",
+        "journal_max_age_seconds",
+        "grace_seconds",
+    )
+    _AT_LEAST_ONE = ("result_keep_versions", "chain_keep_versions", "journal_max_segments")
+
+    def test_fields_are_the_eight_bounds_and_the_grace(self):
+        assert [f.name for f in dataclasses.fields(GcPolicy)] == [
+            "checkpoint_max_files",
+            "checkpoint_max_age_seconds",
+            "result_max_age_seconds",
+            "result_keep_versions",
+            "chain_max_age_seconds",
+            "chain_keep_versions",
+            "journal_max_segments",
+            "journal_max_age_seconds",
+            "grace_seconds",
+        ]
+        assert GcPolicy() == GcPolicy(grace_seconds=0.0)
+        assert all(
+            getattr(GcPolicy(), name) is None
+            for name in self._NON_NEGATIVE[:-1] + self._AT_LEAST_ONE
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            GcPolicy().grace_seconds = 1.0
+
+    @pytest.mark.parametrize("name", _NON_NEGATIVE)
+    def test_negative_counts_ages_and_grace_are_refused(self, name):
+        # NaN too: it compares false both ways, so a `< 0` check passes it
+        # and a NaN grace would silently turn the grace window off.
+        for bad in (-1, float("nan")):
+            with pytest.raises(CatalogError, match=name):
+                GcPolicy(**{name: bad})
+        assert getattr(GcPolicy(**{name: 0}), name) == 0
+
+    @pytest.mark.parametrize("name", _AT_LEAST_ONE)
+    def test_keep_versions_and_segments_below_one_are_refused(self, name):
+        for bad in (0, -1):
+            with pytest.raises(CatalogError, match=name):
+                GcPolicy(**{name: bad})
+        assert getattr(GcPolicy(**{name: 1}), name) == 1
+
+    def test_gc_takes_one_policy(self, catalog):
+        assert list(inspect.signature(MappingCatalog.gc).parameters) == [
+            "self",
+            "policy",
+            "dry_run",
+        ]
+        report = catalog.gc(GcPolicy())
+        for section in ("checkpoints", "results", "chains", "journal"):
+            assert report[section] == {"examined": 0, "removed": 0, "retained": 0}
+        with pytest.raises(TypeError):
+            catalog.gc(checkpoint_max_files=1)
 
 
 class TestPersistentCheckpoints:

@@ -12,10 +12,14 @@ import json
 
 import pytest
 
-from repro.catalog import MappingCatalog
+from repro.catalog import GcPolicy, MappingCatalog
 from repro.catalog.catalog import _delta_protected_versions
 from repro.engine import ChainGrower
 from repro.exceptions import CatalogError
+
+
+#: Keep only the newest version and age every older one out.
+_AGGRESSIVE = GcPolicy(chain_keep_versions=1, chain_max_age_seconds=0.0)
 
 
 def _age_everything(catalog: MappingCatalog, kind: str) -> None:
@@ -106,7 +110,7 @@ class TestChainGC:
             for entry in catalog.versions("chain", "history")
         }
 
-        report = catalog.gc(chain_keep_versions=1, chain_max_age_seconds=0.0)
+        report = catalog.gc(_AGGRESSIVE)
 
         survivors = catalog.versions("chain", "history")
         assert survivors, "the newest version must always survive"
@@ -135,7 +139,7 @@ class TestChainGC:
             needed.add(current["delta_base"])
             current = by_version[current["delta_base"]]
 
-        catalog.gc(chain_keep_versions=1, chain_max_age_seconds=0.0)
+        catalog.gc(_AGGRESSIVE)
 
         remaining = {entry.version for entry in catalog.versions("chain", "history")}
         assert needed <= remaining
@@ -153,7 +157,7 @@ class TestChainGC:
                 replica.apply_journal_entry(entry)
 
         _age_everything(catalog, "chain")
-        catalog.gc(chain_keep_versions=1, chain_max_age_seconds=0.0)
+        catalog.gc(_AGGRESSIVE)
         cursors = {shard: replica.journal.last_seq(shard) for shard in shards}
         for shard in shards:
             for entry in catalog.journal.read_since(shard, since=cursors[shard]):
@@ -167,7 +171,7 @@ class TestChainGC:
     def test_grace_window_blocks_eviction(self, catalog, mappings, other_mappings):
         self._grow_history(catalog, mappings, other_mappings)
         report = catalog.gc(
-            chain_keep_versions=1, chain_max_age_seconds=0.0, grace_seconds=3600
+            GcPolicy(chain_keep_versions=1, chain_max_age_seconds=0.0, grace_seconds=3600)
         )
         # Everything was created moments ago: the grace floor retains it all.
         assert report["chains"]["removed"] == 0
@@ -177,12 +181,10 @@ class TestChainGC:
         self._grow_history(catalog, mappings, other_mappings)
         _age_everything(catalog, "chain")
         count = len(catalog.versions("chain", "history"))
-        report = catalog.gc(
-            chain_keep_versions=1, chain_max_age_seconds=0.0, dry_run=True
-        )
+        report = catalog.gc(_AGGRESSIVE, dry_run=True)
         assert report["chains"]["removed"] >= 0
         assert len(catalog.versions("chain", "history")) == count
 
-    def test_keep_versions_validated(self, catalog):
+    def test_keep_versions_validated(self):
         with pytest.raises(CatalogError):
-            catalog.gc(chain_keep_versions=0)
+            GcPolicy(chain_keep_versions=0)

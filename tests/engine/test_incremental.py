@@ -172,7 +172,7 @@ class TestCheckpointInvalidation:
         assert chain_tokens(chain, ordered, True) != default_tokens
 
     def test_store_eviction_keeps_results_correct(self, grown_chain):
-        composer = IncrementalComposer(checkpoint_max_entries=2)
+        composer = IncrementalComposer(checkpoints=CheckpointStore(max_entries=2))
         for length in range(2, len(grown_chain) + 1):
             prefix = tuple(grown_chain[:length])
             assert _fingerprint(composer.compose_chain(prefix)) == _fingerprint(

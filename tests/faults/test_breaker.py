@@ -174,9 +174,10 @@ class TestGracefulDegradation:
         )
         with CompositionService(catalog, config) as svc:
             mapping = chains[0][0]
-            assert svc.store_mapping("composed", mapping) is True
+            stored = svc.store_mapping_entry("composed", mapping)
+            assert stored is not None and stored.version == 1
             svc.breaker.force_open("test")
-            assert svc.store_mapping("composed-2", mapping) is False
+            assert svc.store_mapping_entry("composed-2", mapping) is None
             degradation = svc.metrics()["degradation"]
             assert degradation["catalog_writes"] == 1
             assert degradation["catalog_writes_dropped"] == 1

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.__main__ import main
-from repro.catalog import MappingCatalog
+from repro.catalog import GcPolicy, MappingCatalog
 from repro.compose import compose
 from repro.engine import compose_chain
 from repro.engine.workloads import WorkloadConfig, generate_workload
@@ -47,9 +47,11 @@ class TestCheckpointGrace:
         assert hops > 0
         # The harshest possible policy — but everything was written just now.
         report = catalog.gc(
-            checkpoint_max_files=0,
-            checkpoint_max_age_seconds=0.001,
-            grace_seconds=60.0,
+            GcPolicy(
+                checkpoint_max_files=0,
+                checkpoint_max_age_seconds=0.001,
+                grace_seconds=60.0,
+            )
         )
         assert report["grace_seconds"] == 60.0
         assert report["checkpoints"]["removed"] == 0
@@ -57,14 +59,14 @@ class TestCheckpointGrace:
 
     def test_zero_grace_restores_unconditional_eviction(self, catalog):
         hops = catalog.checkpoints.disk_entries()
-        report = catalog.gc(checkpoint_max_files=0, grace_seconds=0.0)
+        report = catalog.gc(GcPolicy(checkpoint_max_files=0, grace_seconds=0.0))
         assert report["checkpoints"]["removed"] == hops
         assert catalog.checkpoints.disk_entries() == 0
 
     def test_grace_does_not_shield_genuinely_old_files(self, catalog):
         files = sorted(catalog.checkpoints.directory.glob("*.ckpt"))
         _age_files(files[:2], 7200)
-        report = catalog.gc(checkpoint_max_age_seconds=3600, grace_seconds=60.0)
+        report = catalog.gc(GcPolicy(checkpoint_max_age_seconds=3600, grace_seconds=60.0))
         assert report["checkpoints"]["removed"] == 2
         assert catalog.checkpoints.disk_entries() == len(files) - 2
 
@@ -73,15 +75,15 @@ class TestCheckpointGrace:
         # ones, so more than max_files can survive inside the grace window.
         files = sorted(catalog.checkpoints.directory.glob("*.ckpt"))
         _age_files(files[:2], 7200)
-        report = catalog.gc(checkpoint_max_files=1, grace_seconds=60.0)
+        report = catalog.gc(GcPolicy(checkpoint_max_files=1, grace_seconds=60.0))
         assert report["checkpoints"]["removed"] == 2
         assert catalog.checkpoints.disk_entries() == len(files) - 2
 
-    def test_negative_grace_is_rejected(self, catalog):
+    def test_negative_grace_is_rejected(self):
         from repro.exceptions import CatalogError
 
         with pytest.raises(CatalogError):
-            catalog.gc(grace_seconds=-1.0)
+            GcPolicy(grace_seconds=-1.0)
 
 
 class TestResultGrace:
@@ -89,11 +91,11 @@ class TestResultGrace:
         catalog = MappingCatalog(tmp_path / "catalog")
         catalog.put_result("r", compose(problem_by_name("example1_movies").problem))
         catalog.put_result("r", compose(problem_by_name("glav_chain").problem))
-        report = catalog.gc(result_keep_versions=1, grace_seconds=3600.0)
+        report = catalog.gc(GcPolicy(result_keep_versions=1, grace_seconds=3600.0))
         assert report["results"]["removed"] == 0
         assert len(catalog.versions("result", "r")) == 2
         # Outside the window the policy applies again.
-        report = catalog.gc(result_keep_versions=1, grace_seconds=0.0)
+        report = catalog.gc(GcPolicy(result_keep_versions=1, grace_seconds=0.0))
         assert report["results"]["removed"] == 1
         assert [e.version for e in catalog.versions("result", "r")] == [2]
 

@@ -92,10 +92,11 @@ class TestCandidateMode:
         for index, mapping in enumerate(_mappings(3)):
             primary.put_mapping(f"map-{index}", mapping)
         replica = MappingCatalog(tmp_path / "replica")
-        follower = ReplicationFollower(
-            replica, LocalJournalSource(primary.root / "journal")
-        )
-        follower.catch_up()
+        # A local source takes the primary's catalog root, not its journal
+        # directory: the election must run over a replica that holds data.
+        follower = ReplicationFollower(replica, LocalJournalSource(primary.root))
+        assert follower.catch_up() == 3
+        assert replica.names("mapping") == ("map-0", "map-1", "map-2")
         return primary, replica, follower
 
     def test_silent_primary_triggers_promotion_and_fencing(self, tmp_path):

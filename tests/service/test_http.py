@@ -74,8 +74,9 @@ class TestEndpoints:
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(base + "/healthz")
-            assert excinfo.value.code == 503
-            health = json.loads(excinfo.value.read().decode())
+            with excinfo.value as error:
+                assert error.code == 503
+                health = json.loads(error.read().decode())
             assert health["status"] == "degraded"
             assert any("breaker" in reason for reason in health["reasons"])
         finally:
@@ -174,13 +175,16 @@ class TestEndpoints:
         _, _, base = stack
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/catalog/mapping/missing")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/nope")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base + "/compose", "[garbage\n")
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_malformed_content_length_is_400(self, stack):
         import http.client
@@ -270,9 +274,10 @@ class TestRetryAfter:
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(base + "/healthz")
-            assert excinfo.value.code == 503
+            with excinfo.value as error:
+                assert error.code == 503
             expected = max(1, math.ceil(service.config.breaker_recovery_seconds))
-            assert int(excinfo.value.headers["Retry-After"]) == expected
+            assert int(error.headers["Retry-After"]) == expected
         finally:
             service.breaker.record_success()
 
@@ -313,8 +318,9 @@ class TestRetryAfter:
             other = problem_by_name("example3_inclusion_chain").problem
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(base + "/compose", problem_to_text(other))
-            assert excinfo.value.code == 429
-            assert int(excinfo.value.headers["Retry-After"]) >= 1
+            with excinfo.value as error:
+                assert error.code == 429
+            assert int(error.headers["Retry-After"]) >= 1
         finally:
             server.stop()
 
@@ -431,7 +437,8 @@ class TestReplicaAcks:
         problem = problem_by_name("example1_movies").problem
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base + "/compose?store=zombie", problem_to_text(problem))
-        assert excinfo.value.code == 409
+        with excinfo.value as error:
+            assert error.code == 409
         assert "zombie" not in catalog.names("result")
         # Fencing is not storage sickness: the breaker stays closed.
         assert service.breaker.state == "closed"
@@ -455,8 +462,9 @@ class TestThreadFailureCounters:
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(base + "/healthz")
-            assert excinfo.value.code == 503
-            health = json.loads(excinfo.value.read().decode())
+            with excinfo.value as error:
+                assert error.code == 503
+                health = json.loads(error.read().decode())
             assert any("gc sweep failing (2 consecutive)" in r for r in health["reasons"])
             assert health["gc"]["sweep_failures"] == 1
             assert health["gc"]["consecutive_failures"] == 2
@@ -520,8 +528,8 @@ class TestAccessLog:
             assert response.status == 200
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(base + "/nope")
-        excinfo.value.close()
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
         return trace_id
 
     def test_one_json_line_per_request(self, tmp_path):

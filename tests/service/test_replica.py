@@ -411,7 +411,8 @@ class TestFollowerHTTP:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 409
+        with excinfo.value as error:
+            assert error.code == 409
 
     def test_promote_endpoint(self, replicated_stack):
         _, _, _, follower, follower_base = replicated_stack
@@ -432,7 +433,8 @@ class TestFollowerHTTP:
         request = urllib.request.Request(base + "/admin/promote", method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 409
+        with excinfo.value as error:
+            assert error.code == 409
 
     def test_journal_endpoint_shapes(self, primary_server, mappings):
         primary, base = primary_server
@@ -489,8 +491,8 @@ class TestFollowerHTTP:
         _, base = primary_server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{base}/journal{query}", timeout=30)
-        excinfo.value.close()
-        assert excinfo.value.code == 400
+        with excinfo.value as error:
+            assert error.code == 400
 
     def test_journal_endpoint_without_catalog_is_404(self):
         service = CompositionService(None, ServiceConfig())
@@ -503,8 +505,8 @@ class TestFollowerHTTP:
                     f"http://{host}:{port}/journal?since=" + ",".join(["0"] * 16),
                     timeout=30,
                 )
-            excinfo.value.close()
-            assert excinfo.value.code == 404
+            with excinfo.value as error:
+                assert error.code == 404
         finally:
             server.stop()
             service.stop()

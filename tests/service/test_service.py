@@ -10,6 +10,8 @@ runs what: the waiting thread, oldest queued work first, under the
 submitter's trace context.
 """
 
+import dataclasses
+import inspect
 import sys
 import threading
 import time
@@ -17,7 +19,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.catalog import MappingCatalog
+from repro.catalog import GcPolicy, MappingCatalog
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
 from repro.engine import ChainGrower, compose_chain
@@ -173,30 +175,29 @@ class TestAdmissionControl:
 
 
 class TestBlockingAdmission:
-    def test_deadline_expires_deterministically(self, chains):
-        # Loop not running: the queue can never drain, so a blocked request
-        # must ride out its whole deadline and then fail.
-        config = ServiceConfig(max_pending=1, admission="block")
-        svc = CompositionService(config=config)
-        svc.submit_chain(chains[0])
-        with pytest.raises(ServiceDeadlineError):
-            svc.submit_chain(chains[1], deadline_seconds=0.05)
-        metrics = svc.metrics()["requests"]
-        assert metrics["blocked"] == 1
-        assert metrics["deadline_expired"] == 1
-        assert metrics["rejected"] == 0
-
     def test_deadline_error_is_an_overload_error(self):
         # HTTP keeps answering 429: the deadline error is a refinement of
         # overload, not a new failure class.
         assert issubclass(ServiceDeadlineError, ServiceOverloadedError)
 
-    def test_service_wide_deadline_applies(self, chains):
+    def test_service_wide_deadline_expires_deterministically(self, chains):
+        # Not started: the queue can never drain, so a blocked request must
+        # ride out the service-wide deadline and then fail.
         config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=0.05)
         svc = CompositionService(config=config)
         svc.submit_chain(chains[0])
         with pytest.raises(ServiceDeadlineError):
             svc.submit_chain(chains[1])
+        metrics = svc.metrics()["requests"]
+        assert metrics["blocked"] == 1
+        assert metrics["deadline_expired"] == 1
+        assert metrics["rejected"] == 0
+
+    def test_submissions_take_no_per_request_deadline(self):
+        # The admission deadline is service-wide; the HTTP layer never set
+        # a per-request one.
+        for method in (CompositionService.submit_problem, CompositionService.submit_chain):
+            assert "deadline_seconds" not in inspect.signature(method).parameters
 
     def test_blocked_submission_admitted_when_space_frees(self, chains):
         config = ServiceConfig(max_pending=1, admission="block")
@@ -250,7 +251,7 @@ class TestBlockingAdmission:
         # ServiceDeadlineError, never the generic "service is stopped" error,
         # whichever signal wins the wakeup.
         for _ in range(20):
-            config = ServiceConfig(max_pending=1, admission="block")
+            config = ServiceConfig(max_pending=1, admission="block", deadline_seconds=0.05)
             svc = CompositionService(config=config)
             svc.submit_chain(chains[0])
             outcome = {}
@@ -259,7 +260,7 @@ class TestBlockingAdmission:
             def blocked_submit():
                 started.set()
                 try:
-                    svc.submit_chain(chains[1], deadline_seconds=0.05)
+                    svc.submit_chain(chains[1])
                 except ServiceError as exc:
                     outcome["error"] = exc
 
@@ -307,10 +308,39 @@ class TestBlockingAdmission:
         assert results == expected
 
 
+class TestServiceConfig:
+    def test_config_has_only_the_used_knobs(self):
+        # The nine gc_* fields are one GcPolicy, and the lease wait is always
+        # four lease TTLs: no caller set them apart.
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "max_pending",
+            "admission",
+            "deadline_seconds",
+            "timeout_seconds",
+            "composer_config",
+            "gc_interval_seconds",
+            "gc_policy",
+            "breaker_failure_threshold",
+            "breaker_recovery_seconds",
+            "lease_ttl_seconds",
+            "ack_level",
+            "replica_ack_timeout_seconds",
+            "slow_trace_seconds",
+        ]
+        assert ServiceConfig().gc_policy == GcPolicy(grace_seconds=5.0)
+        for knob in ("gc_checkpoint_max_files", "gc_grace_seconds", "lease_wait_seconds"):
+            with pytest.raises(TypeError):
+                ServiceConfig(**{knob: 1})
+
+    def test_only_the_entry_store_helpers_remain(self):
+        for gone in ("store_result", "store_mapping"):
+            assert not hasattr(CompositionService, gone)
+
+
 class TestServiceGC:
     def test_run_gc_bounds_checkpoints_and_counts(self, tmp_path, chains):
         catalog = MappingCatalog(tmp_path / "cat")
-        config = ServiceConfig(gc_checkpoint_max_files=1, gc_grace_seconds=0.0)
+        config = ServiceConfig(gc_policy=GcPolicy(checkpoint_max_files=1))
         with CompositionService(catalog, config) as svc:
             for chain in chains[:3]:
                 svc.compose_chain(chain)
@@ -325,7 +355,7 @@ class TestServiceGC:
     def test_background_sweep_runs_periodically(self, tmp_path, chains):
         catalog = MappingCatalog(tmp_path / "cat")
         config = ServiceConfig(
-            gc_interval_seconds=0.05, gc_checkpoint_max_files=1, gc_grace_seconds=0.0
+            gc_interval_seconds=0.05, gc_policy=GcPolicy(checkpoint_max_files=1)
         )
         with CompositionService(catalog, config) as svc:
             svc.compose_chain(chains[0])

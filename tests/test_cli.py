@@ -134,22 +134,78 @@ class TestCatalogGCCommand:
         assert [e.version for e in MappingCatalog(root).versions("result", "r")] == [2]
 
 
+class TestBadGcBounds:
+    """Every GC entry point refuses a bad bound with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["catalog", "gc", "--max-checkpoint-files", "-1"],
+            ["catalog", "gc", "--checkpoint-max-age", "-1"],
+            ["catalog", "gc", "--result-max-age", "-1"],
+            ["catalog", "gc", "--keep-result-versions", "0"],
+            ["catalog", "gc", "--chain-max-age", "-1"],
+            ["catalog", "gc", "--keep-chain-versions", "0"],
+            ["catalog", "gc", "--journal-max-segments", "0"],
+            ["catalog", "gc", "--journal-max-age", "-1"],
+            ["catalog", "gc", "--grace", "-1"],
+            ["serve", "--port", "0", "--gc-max-checkpoint-files", "-1"],
+            ["serve", "--port", "0", "--gc-checkpoint-max-age", "-1"],
+            ["serve", "--port", "0", "--gc-result-max-age", "-1"],
+            ["serve", "--port", "0", "--gc-grace", "-1"],
+        ],
+    )
+    def test_refused_before_the_root_is_opened(self, root, command, capsys):
+        assert main(["--root", root, *command]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not Path(root).exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["catalog", "gc", "--max-checkpoint-files", "-1"],
+            ["serve", "--port", "0", "--gc-max-checkpoint-files", "-1"],
+        ],
+    )
+    def test_no_traceback_from_a_real_process(self, root, command):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        finished = subprocess.run(
+            [sys.executable, "-m", "repro", "--root", root, *command],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert finished.returncode == 1
+        assert finished.stderr == (
+            "error: checkpoint_max_files must be non-negative, not -1\n"
+        )
+
+
 class TestServeOptions:
     def test_serve_offers_no_pool_flags(self, root, capsys):
         # Batches always run in-process and each request runs on the thread
-        # that waits for it, so nothing selects or sizes a pool or a batch.
+        # that waits for it, so nothing selects or sizes a pool or a batch;
+        # a peer's lease is always waited on for four TTLs.
         with pytest.raises(SystemExit) as exited:
             main(["--root", root, "serve", "--help"])
         assert exited.value.code == 0
         usage = capsys.readouterr().out
         assert "--max-pending" in usage
+        assert "--lease-ttl" in usage
         assert "--micro-batch-size" not in usage
         assert "--micro-batch-wait" not in usage
         assert "--backend" not in usage
         assert "--max-workers" not in usage
-        with pytest.raises(SystemExit) as exited:
-            main(["--root", root, "serve", "--backend", "serial"])
-        assert exited.value.code == 2
+        assert "--lease-wait" not in usage
+        for flag in (["--backend", "serial"], ["--lease-wait", "1"]):
+            with pytest.raises(SystemExit) as exited:
+                main(["--root", root, "serve", *flag])
+            assert exited.value.code == 2
 
 
 class TestMetricsCommand:
