@@ -384,8 +384,7 @@ def _composer_config(order: str):
 def _cmd_compose(args) -> int:
     from repro.compose.composer import compose
     from repro.engine.chain import compose_chain
-    from repro.textio.format import problem_from_text
-    from repro.textio.records import chain_from_text, detect_kind, result_to_text
+    from repro.textio.records import mapping_to_text, parse_record, read_record, result_to_text
 
     catalog = _open_catalog(args)
     config = _composer_config(args.order)
@@ -398,15 +397,12 @@ def _cmd_compose(args) -> int:
             else catalog.get_problem(args.name, args.version)
         )
     elif args.file:
-        text = Path(args.file).read_text(encoding="utf-8")
-        kind = detect_kind(text)
-        if kind == "chain":
-            payload = chain_from_text(text)
-        elif kind == "problem":
-            payload = problem_from_text(text)
-        else:
+        record = parse_record(Path(args.file).read_text(encoding="utf-8"))
+        kind = record.require_kind()
+        if kind not in ("problem", "chain"):
             print(f"error: cannot compose a {kind!r} record", file=sys.stderr)
             return 1
+        payload = read_record(record)
     else:
         print("error: pass a FILE or --name", file=sys.stderr)
         return 1
@@ -423,8 +419,6 @@ def _cmd_compose(args) -> int:
         if args.store:
             entry = catalog.put_mapping(args.store, composed)
             print(f"stored mapping/{entry.name} v{entry.version}", file=sys.stderr)
-        from repro.textio.records import mapping_to_text
-
         sys.stdout.write(mapping_to_text(composed, name=args.store or ""))
         return 0
 
@@ -482,13 +476,15 @@ def _cmd_serve(args) -> int:
     _configure_tracing(f"serve:{args.port}", args.trace_log)
     catalog = _open_catalog(args)
     service = CompositionService(catalog, config)
+    # Build every part before starting any, so a refused setting leaves no
+    # thread behind.
     follower = None
     if args.follow:
         follower = ReplicationFollower(
             catalog,
             open_source(args.follow),
             poll_interval_seconds=args.follow_poll,
-        ).start()
+        )
     elector = None
     if args.election is not None:
         source_root = None
@@ -506,8 +502,7 @@ def _cmd_serve(args) -> int:
             source_root=source_root,
             primary_url=primary_url,
             election_timeout_seconds=args.election_timeout,
-        ).start()
-    service.start()
+        )
     server = ServiceHTTPServer(
         service,
         host=args.host,
@@ -517,6 +512,11 @@ def _cmd_serve(args) -> int:
         elector=elector,
         access_log=args.access_log,
     )
+    if follower is not None:
+        follower.start()
+    if elector is not None:
+        elector.start()
+    service.start()
     host, port = server.address
     print(f"repro composition service on http://{host}:{port}", flush=True)
     print(f"catalog root: {catalog.root}", flush=True)

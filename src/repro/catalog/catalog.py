@@ -74,19 +74,14 @@ from repro.exceptions import CatalogError, JournalError, ParseError, StaleEpochE
 from repro.mapping.composition_problem import CompositionProblem
 from repro.mapping.mapping import Mapping
 from repro.schema.signature import Signature
-from repro.textio.format import problem_from_text, problem_to_text
+from repro.textio.format import problem_to_text
 from repro.textio.records import (
-    chain_delta_from_text,
     chain_delta_to_text,
-    chain_from_text,
     chain_to_text,
-    detect_kind,
-    mapping_from_text,
     mapping_to_text,
     parse_record,
-    result_from_text,
+    read_record,
     result_to_text,
-    signature_from_text,
     signature_to_text,
 )
 
@@ -235,6 +230,18 @@ def _result_fingerprint(result: CompositionResult) -> bytes:
         )
     h.update(repr(result.plan).encode())
     return h.digest()
+
+
+#: How each kind's content fingerprint is derived from its object: the
+#: ``put_*`` methods key a version on it and :meth:`MappingCatalog.verify`
+#: recomputes it.
+_FINGERPRINTS: Dict[str, Callable[[object], bytes]] = {
+    "schema": Signature.fingerprint,
+    "mapping": Mapping.fingerprint,
+    "chain": chain_fingerprint,
+    "problem": CompositionProblem.fingerprint,
+    "result": _result_fingerprint,
+}
 
 
 class MappingCatalog:
@@ -603,8 +610,8 @@ class MappingCatalog:
 
         return self._mutate_shard(shard, mutate)
 
-    def _put_text(self, kind: str, name: str, text: str, fingerprint: bytes) -> CatalogEntry:
-        return self._put(kind, name, fingerprint, lambda versions: (text, {}))
+    def _put_text(self, kind: str, name: str, text: str, obj: object) -> CatalogEntry:
+        return self._put(kind, name, _FINGERPRINTS[kind](obj), lambda versions: (text, {}))
 
     def _versions(self, kind: str, name: str) -> List[dict]:
         self._check_kind(kind)
@@ -638,12 +645,12 @@ class MappingCatalog:
     def put_schema(self, name: str, signature: Signature, description: str = "") -> CatalogEntry:
         """Store a named schema; identical content returns the existing version."""
         text = signature_to_text(signature, name=name, description=description)
-        return self._put_text("schema", name, text, signature.fingerprint())
+        return self._put_text("schema", name, text, signature)
 
     def put_mapping(self, name: str, mapping: Mapping, description: str = "") -> CatalogEntry:
         """Store a named mapping (a schema-evolution edit appends a new version)."""
         text = mapping_to_text(mapping, name=name, description=description)
-        return self._put_text("mapping", name, text, mapping.fingerprint())
+        return self._put_text("mapping", name, text, mapping)
 
     def put_chain(
         self, name: str, mappings: Sequence[Mapping], description: str = ""
@@ -658,7 +665,7 @@ class MappingCatalog:
         visible only through :meth:`raw_text`.
         """
         chain = tuple(mappings)
-        fingerprint = chain_fingerprint(chain)
+        fingerprint = _FINGERPRINTS["chain"](chain)
 
         def make_text(versions: List[dict]) -> Tuple[str, dict]:
             full = chain_to_text(chain, name=name, description=description)
@@ -694,49 +701,48 @@ class MappingCatalog:
     def put_problem(self, name: str, problem: CompositionProblem) -> CatalogEntry:
         """Store a composition problem (the paper's task-distribution format)."""
         text = "# kind: problem\n" + problem_to_text(problem)
-        return self._put_text("problem", name, text, problem.fingerprint())
+        return self._put_text("problem", name, text, problem)
 
     def put_result(
         self, name: str, result: CompositionResult, description: str = ""
     ) -> CatalogEntry:
         """Store a composed result (plan and phase timings included)."""
         text = result_to_text(result, name=name, description=description)
-        return self._put_text("result", name, text, _result_fingerprint(result))
+        return self._put_text("result", name, text, result)
 
     def add_text(
         self, text: str, name: Optional[str] = None, kind: Optional[str] = None
     ) -> CatalogEntry:
         """Ingest a raw record text (the CLI's ``catalog add``).
 
-        The kind is detected from the ``# kind:`` metadata (kind-less texts in
-        the original problem format are accepted as problems); the record is
-        parsed back into its object — rejecting malformed input before
-        anything touches disk — and stored under ``name`` (defaulting to the
-        record's ``# name:`` metadata).
+        The text is scanned once.  Its kind is ``kind`` or the record's own
+        (a kind-less text in the original problem format is a problem); the
+        record is read back into its object — rejecting malformed input
+        before anything touches disk — and stored under ``name`` (defaulting
+        to the record's ``# name:`` metadata) with the record's
+        ``# description:``.
         """
-        detected = kind or detect_kind(text)
-        self._check_kind(detected)
+        record = parse_record(text)
+        kind = kind or record.require_kind()
+        self._check_kind(kind)
         try:
-            if detected == "schema":
-                obj = signature_from_text(text)
-                record_name = name or _record_name(text)
-                return self.put_schema(record_name, obj, description=_record_description(text))
-            if detected == "mapping":
-                obj = mapping_from_text(text)
-                record_name = name or _record_name(text)
-                return self.put_mapping(record_name, obj, description=_record_description(text))
-            if detected == "chain":
-                obj = chain_from_text(text)
-                record_name = name or _record_name(text)
-                return self.put_chain(record_name, obj, description=_record_description(text))
-            if detected == "result":
-                obj = result_from_text(text)
-                record_name = name or _record_name(text)
-                return self.put_result(record_name, obj, description=_record_description(text))
-            problem = problem_from_text(text)
-            return self.put_problem(name or problem.name, problem)
+            obj = read_record(record, kind)
         except ParseError as exc:
-            raise CatalogError(f"cannot ingest {detected} record: {exc}") from exc
+            raise CatalogError(f"cannot ingest {kind} record: {exc}") from exc
+        name = name or record.name
+        if not name:
+            raise CatalogError(
+                "record declares no '# name:'; pass an explicit name to store it"
+            )
+        put = {
+            "schema": self.put_schema,
+            "mapping": self.put_mapping,
+            "chain": self.put_chain,
+            # A problem carries its own description.
+            "problem": lambda name, problem, description: self.put_problem(name, problem),
+            "result": self.put_result,
+        }[kind]
+        return put(name, obj, description=record.description)
 
     # -- reading -------------------------------------------------------------------
 
@@ -759,11 +765,10 @@ class MappingCatalog:
         raw = self._read_object(record)
         if kind == "chain":
             try:
-                stored_kind = detect_kind(raw)
+                parsed = parse_record(raw)
             except ParseError:
                 return raw
-            if stored_kind == "chain-delta":
-                parsed = parse_record(raw)
+            if parsed.kind == "chain-delta":
                 chain = self._chain_from_record(name, self._versions(kind, name), record)
                 return chain_to_text(
                     chain, name=parsed.name or name, description=parsed.description
@@ -789,21 +794,22 @@ class MappingCatalog:
                     f"{current['version']}"
                 )
             seen.add(current["version"])
-            text = self._read_object(current)
             try:
-                stored_kind = detect_kind(text)
+                parsed = parse_record(self._read_object(current))
+                stored_kind = parsed.require_kind()
             except ParseError as exc:
                 raise CatalogError(
                     f"chain {name!r} v{current['version']} is unreadable: {exc}"
                 ) from exc
-            if stored_kind == "chain":
-                chain = chain_from_text(text)
-                break
-            if stored_kind != "chain-delta":
+            if stored_kind not in ("chain", "chain-delta"):
                 raise CatalogError(
                     f"chain {name!r} v{current['version']} holds a {stored_kind!r} record"
                 )
-            delta = chain_delta_from_text(text)
+            stored = read_record(parsed)
+            if stored_kind == "chain":
+                chain = stored
+                break
+            delta = stored
             base = next(
                 (rec for rec in versions if rec["version"] == delta.base_version), None
             )
@@ -828,22 +834,26 @@ class MappingCatalog:
             chain = chain[: delta.prefix_hops] + delta.suffix
         return chain
 
+    def _object(self, kind: str, name: str, record: dict):
+        """One stored version read back into its object, each file scanned once."""
+        if kind == "chain":  # deltas materialize through their bases
+            return self._chain_from_record(name, self._versions(kind, name), record)
+        return read_record(parse_record(self._read_object(record)), kind)
+
     def get_schema(self, name: str, version: Optional[int] = None) -> Signature:
-        return signature_from_text(self.text("schema", name, version))
+        return self._object("schema", name, self._record("schema", name, version))
 
     def get_mapping(self, name: str, version: Optional[int] = None) -> Mapping:
-        return mapping_from_text(self.text("mapping", name, version))
+        return self._object("mapping", name, self._record("mapping", name, version))
 
     def get_chain(self, name: str, version: Optional[int] = None) -> Tuple[Mapping, ...]:
-        return self._chain_from_record(
-            name, self._versions("chain", name), self._record("chain", name, version)
-        )
+        return self._object("chain", name, self._record("chain", name, version))
 
     def get_problem(self, name: str, version: Optional[int] = None) -> CompositionProblem:
-        return problem_from_text(self.text("problem", name, version))
+        return self._object("problem", name, self._record("problem", name, version))
 
     def get_result(self, name: str, version: Optional[int] = None) -> CompositionResult:
-        return result_from_text(self.text("result", name, version))
+        return self._object("result", name, self._record("result", name, version))
 
     # -- garbage collection --------------------------------------------------------
 
@@ -1083,25 +1093,11 @@ class MappingCatalog:
         that mirrored bytes reproduce the content the primary acknowledged.
         """
         record = self._record(kind, name, version)
-        expected = record["fingerprint"]
-        if kind == "chain":
-            actual = chain_fingerprint(
-                self._chain_from_record(name, self._versions(kind, name), record)
-            ).hex()
-            return actual == expected
-        text = self.text(kind, name, record["version"])
         try:
-            if kind == "schema":
-                actual = signature_from_text(text).fingerprint().hex()
-            elif kind == "mapping":
-                actual = mapping_from_text(text).fingerprint().hex()
-            elif kind == "problem":
-                actual = problem_from_text(text).fingerprint().hex()
-            else:  # result: the structural fingerprint over the parsed record
-                actual = _result_fingerprint(result_from_text(text)).hex()
+            obj = self._object(kind, name, record)
         except ParseError:
             return False
-        return actual == expected
+        return _FINGERPRINTS[kind](obj).hex() == record["fingerprint"]
 
     # -- queries -------------------------------------------------------------------
 
@@ -1198,16 +1194,3 @@ def _delta_protected_versions(versions: List[dict], doomed: set) -> set:
             if current is None:
                 break
     return protected
-
-
-def _record_name(text: str) -> str:
-    name = parse_record(text).name
-    if not name:
-        raise CatalogError(
-            "record declares no '# name:'; pass an explicit name to store it"
-        )
-    return name
-
-
-def _record_description(text: str) -> str:
-    return parse_record(text).description

@@ -49,6 +49,7 @@ from repro.engine.checkpoint import (
     ChainCheckpoint,
     CheckpointStore,
 )
+from repro.exceptions import CatalogError
 from repro.retry import RetryPolicy, RetryStats
 
 __all__ = ["PersistentCheckpointStore"]
@@ -227,14 +228,16 @@ class PersistentCheckpointStore(CheckpointStore):
         deepest matching file, not an unbroken set.  With ``dry_run`` nothing
         is deleted; the report counts what would be.
 
-        Returns ``{"examined": ..., "removed": ..., "retained": ...}``.
+        Returns ``{"examined": ..., "removed": ..., "retained": ...}``.  A
+        negative (or NaN) bound raises :class:`~repro.exceptions.CatalogError`.
         """
-        if max_files is not None and max_files < 0:
-            raise ValueError("max_files must be non-negative")
-        if max_age_seconds is not None and max_age_seconds < 0:
-            raise ValueError("max_age_seconds must be non-negative")
-        if grace_seconds < 0:
-            raise ValueError("grace_seconds must be non-negative")
+        for name, value in (
+            ("max_files", max_files),
+            ("max_age_seconds", max_age_seconds),
+            ("grace_seconds", grace_seconds),
+        ):
+            if value is not None and not value >= 0:  # NaN fails too
+                raise CatalogError(f"{name} must be non-negative, not {value!r}")
         aged = []
         protected = 0
         now = time.time()

@@ -120,7 +120,7 @@ class LeaseTable:
         ttl_seconds: float = DEFAULT_LEASE_TTL_SECONDS,
         clock: Callable[[], float] = time.time,
     ):
-        if ttl_seconds <= 0:
+        if not ttl_seconds > 0:  # NaN fails too
             raise ValueError("ttl_seconds must be positive")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)

@@ -95,7 +95,7 @@ class BatchConfig:
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
+        if self.timeout_seconds is not None and not self.timeout_seconds > 0:  # NaN fails too
             raise EngineError("timeout_seconds must be positive")
 
 

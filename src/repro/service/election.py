@@ -109,11 +109,11 @@ class LeaderElector:
         poll_interval_seconds: Optional[float] = None,
         health_timeout_seconds: float = 1.0,
     ):
-        if election_timeout_seconds <= 0:
+        if not election_timeout_seconds > 0:  # NaN fails too
             raise ServiceError("election_timeout_seconds must be positive")
         if poll_interval_seconds is None:
             poll_interval_seconds = election_timeout_seconds / 4.0
-        if poll_interval_seconds <= 0:
+        if not poll_interval_seconds > 0:
             raise ServiceError("poll_interval_seconds must be positive")
         self.catalog = catalog
         self.follower = follower

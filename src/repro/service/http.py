@@ -93,8 +93,7 @@ from repro.service.wire import BaseHandler, KeepAliveServer
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (replica imports catalog)
     from repro.service.election import LeaderElector
     from repro.service.replica import ReplicationFollower
-from repro.textio.format import problem_from_text
-from repro.textio.records import chain_from_text, detect_kind, mapping_to_text, result_to_text
+from repro.textio.records import mapping_to_text, parse_record, read_record, result_to_text
 
 __all__ = ["ServiceHTTPServer"]
 
@@ -423,49 +422,38 @@ class _Handler(BaseHandler):
 
     def _compose(self, text: str, config: Optional[ComposerConfig], store_as: Optional[str]) -> None:
         service = self.server.service
-        kind = detect_kind(text)
+        record = parse_record(text)
+        kind = record.require_kind()
+        if kind not in ("problem", "chain"):
+            self._send_text(
+                400, f"cannot compose a {kind!r} record (expected problem or chain)\n"
+            )
+            return
+        payload = read_record(record)
         if kind == "problem":
-            result = service.compose(problem_from_text(text), config)
+            result = service.compose(payload, config)
             headers = [
                 ("X-Repro-Eliminated", str(len(result.eliminated_symbols))),
                 ("X-Repro-Residual", str(len(result.remaining_symbols))),
             ]
-            status = 200
-            if store_as and service.catalog is not None:
-                # Routed through the breaker-gated write: a degraded service
-                # still answers the composition, it just could not store it.
-                status = self._store(
-                    "result",
-                    store_as,
-                    lambda: service.store_result_entry(store_as, result),
-                    headers,
-                )
-            self._send_text(
-                status, result_to_text(result, name=store_as or ""), headers=tuple(headers)
-            )
-        elif kind == "chain":
-            chain_result = service.compose_chain(chain_from_text(text), config)
+            store_kind, store_op = "result", lambda: service.store_result_entry(store_as, result)
+            body = result_to_text(result, name=store_as or "")
+        else:
+            chain_result = service.compose_chain(payload, config)
             composed = chain_result.to_mapping_with_residue()
             headers = [
                 ("X-Repro-Hops", str(len(chain_result.hops))),
                 ("X-Repro-Reused-Hops", str(chain_result.reused_hops)),
                 ("X-Repro-Residual", str(len(chain_result.residual_signature))),
             ]
-            status = 200
-            if store_as and service.catalog is not None:
-                status = self._store(
-                    "mapping",
-                    store_as,
-                    lambda: service.store_mapping_entry(store_as, composed),
-                    headers,
-                )
-            self._send_text(
-                status, mapping_to_text(composed, name=store_as or ""), headers=tuple(headers)
-            )
-        else:
-            self._send_text(
-                400, f"cannot compose a {kind!r} record (expected problem or chain)\n"
-            )
+            store_kind, store_op = "mapping", lambda: service.store_mapping_entry(store_as, composed)
+            body = mapping_to_text(composed, name=store_as or "")
+        status = 200
+        if store_as and service.catalog is not None:
+            # Routed through the breaker-gated write: a degraded service
+            # still answers the composition, it just could not store it.
+            status = self._store(store_kind, store_as, store_op, headers)
+        self._send_text(status, body, headers=tuple(headers))
 
 
 class _ServiceHTTPD(KeepAliveServer):

@@ -193,7 +193,7 @@ class ReplicationFollower:
         poll_interval_seconds: float = DEFAULT_POLL_INTERVAL_SECONDS,
         batch_limit: int = DEFAULT_POLL_LIMIT,
     ):
-        if poll_interval_seconds <= 0:
+        if not poll_interval_seconds > 0:  # NaN fails too
             raise ReplicationError("poll_interval_seconds must be positive")
         if batch_limit < 1:
             raise ReplicationError("batch_limit must be positive")

@@ -191,7 +191,7 @@ class RouterHTTPServer:
     ):
         if not backends:
             raise ServiceError("the router needs at least one --backend URL")
-        if health_interval_seconds <= 0:
+        if not health_interval_seconds > 0:  # NaN fails too
             raise ServiceError("health_interval_seconds must be positive")
         if min_consecutive_ok < 1:
             raise ServiceError("min_consecutive_ok must be positive")

@@ -197,24 +197,28 @@ class ServiceConfig:
             raise EngineError(
                 f"admission must be 'reject' or 'block', not {self.admission!r}"
             )
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise EngineError("deadline_seconds must be positive")
-        if self.gc_interval_seconds is not None and self.gc_interval_seconds <= 0:
-            raise EngineError("gc_interval_seconds must be positive")
+        # Every interval is checked so that NaN fails too: a NaN wait returns
+        # at once, and the loop or admission wait around it would spin.
+        for name in (
+            "deadline_seconds",
+            "timeout_seconds",
+            "gc_interval_seconds",
+            "lease_ttl_seconds",
+            "replica_ack_timeout_seconds",
+        ):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise EngineError(f"{name} must be positive, not {value!r}")
+        for name in ("breaker_recovery_seconds", "slow_trace_seconds"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise EngineError(f"{name} must be non-negative, not {value!r}")
         if self.breaker_failure_threshold < 1:
             raise EngineError("breaker_failure_threshold must be positive")
-        if self.breaker_recovery_seconds < 0:
-            raise EngineError("breaker_recovery_seconds must be non-negative")
-        if self.lease_ttl_seconds is not None and self.lease_ttl_seconds <= 0:
-            raise EngineError("lease_ttl_seconds must be positive")
         if self.ack_level not in ("journal", "replica"):
             raise EngineError(
                 f"ack_level must be 'journal' or 'replica', not {self.ack_level!r}"
             )
-        if self.replica_ack_timeout_seconds <= 0:
-            raise EngineError("replica_ack_timeout_seconds must be positive")
-        if self.slow_trace_seconds is not None and self.slow_trace_seconds < 0:
-            raise EngineError("slow_trace_seconds must be non-negative")
 
 
 class Ticket:

@@ -3,7 +3,8 @@
 :mod:`repro.textio.format` is the paper's distribution format for composition
 problems; :mod:`repro.textio.records` extends the same syntax to the other
 objects the mapping catalog persists — schemas, mappings, chains and composed
-results.
+results — and holds the one scanner (:func:`parse_record`) and the one reader
+table (:func:`read_record`) that every kind is read through.
 """
 
 from repro.textio.format import problem_from_text, problem_to_text, read_problem, write_problem
@@ -11,10 +12,10 @@ from repro.textio.records import (
     Record,
     chain_from_text,
     chain_to_text,
-    detect_kind,
     mapping_from_text,
     mapping_to_text,
     parse_record,
+    read_record,
     result_from_text,
     result_to_text,
     signature_from_text,
@@ -28,7 +29,7 @@ __all__ = [
     "read_problem",
     "Record",
     "parse_record",
-    "detect_kind",
+    "read_record",
     "signature_to_text",
     "signature_from_text",
     "mapping_to_text",

@@ -1,4 +1,4 @@
-"""Extended plain-text records: schemas, mappings, chains and results.
+"""Plain-text records: problems, schemas, mappings, chains and results.
 
 :mod:`repro.textio.format` reproduces the paper's distribution format for
 *composition problems*.  The mapping catalog needs to persist more than
@@ -17,11 +17,13 @@ comments followed by named sections::
     [constraints]
     project[0,1,2](Orders/4) = Orders_v2/3
 
-Metadata comments are ``# key: value`` lines (the ``name``/``description``
-keys are exactly the ones :mod:`repro.textio.format` already understands);
-relation declarations are ``name/arity`` with the optional ``key=i,j``
-suffix; constraints use the expression syntax of
-:mod:`repro.algebra.printer`.  Every serializer here round-trips: parsing the
+:func:`parse_record` is the one scanner: it splits a text, once, into
+``# key: value`` metadata comments (keys in any case, optional whitespace
+before the colon, first occurrence wins) and sections.  A kind-less text
+with a ``[sigma12]`` section is a ``problem``, the paper's format.
+:func:`read_record` reads every kind through one table of readers.  Relation declarations are ``name/arity`` with
+the optional ``key=i,j`` suffix; constraints use the expression syntax of
+:mod:`repro.algebra.printer`.  Every serializer round-trips: parsing the
 emitted text reconstructs an equal object (results included — per-symbol
 outcomes, failure reasons, plan and phase timings all survive).
 
@@ -32,20 +34,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algebra.parser import _Reader
 from repro.compose.result import CompositionResult, EliminationMethod, EliminationOutcome
 from repro.constraints.constraint_set import ConstraintSet
 from repro.exceptions import ParseError
+from repro.mapping.composition_problem import CompositionProblem
 from repro.mapping.mapping import Mapping
-from repro.schema.signature import Signature
-from repro.textio.format import _parse_signature, _signature_to_lines
+from repro.schema.signature import RelationSchema, Signature
 
 __all__ = [
     "Record",
     "parse_record",
-    "detect_kind",
+    "read_record",
     "signature_to_text",
     "signature_from_text",
     "mapping_to_text",
@@ -59,8 +61,8 @@ __all__ = [
     "result_from_text",
 ]
 
-#: ``# key: value`` metadata comment; keys are lowercase kebab-case words.
-_METADATA_RE = re.compile(r"^([a-z][a-z0-9-]*)\s*:\s*(.*)$")
+#: The rest of a ``# key: value`` metadata comment after its ``#``.
+_METADATA_RE = re.compile(r"\s*([a-z][a-z0-9-]*)\s*:\s*(.*)", re.IGNORECASE)
 
 
 @dataclass
@@ -72,7 +74,11 @@ class Record:
 
     @property
     def kind(self) -> str:
-        return self.metadata.get("kind", "")
+        """The declared ``# kind:``, else ``problem`` if there is a ``[sigma12]``, else ``""``."""
+        kind = self.metadata.get("kind", "")
+        if not kind and "sigma12" in self.sections:
+            return "problem"
+        return kind
 
     @property
     def name(self) -> str:
@@ -82,6 +88,14 @@ class Record:
     def description(self) -> str:
         return self.metadata.get("description", "")
 
+    def require_kind(self) -> str:
+        """:attr:`kind`, or a :class:`ParseError` for a text that declares no
+        kind and is not a composition problem."""
+        kind = self.kind
+        if not kind:
+            raise ParseError("record declares no '# kind:' and is not a composition problem")
+        return kind
+
     def section(self, name: str) -> List[str]:
         """The named section's lines; a missing section is an error."""
         try:
@@ -89,68 +103,69 @@ class Record:
         except KeyError:
             raise ParseError(f"record is missing the [{name}] section") from None
 
-    def expect_kind(self, expected: str) -> None:
-        """Fail unless the record's declared kind is ``expected`` (or absent)."""
-        if self.kind and self.kind != expected:
-            raise ParseError(
-                f"expected a {expected!r} record, found kind {self.kind!r}"
-            )
-
 
 def parse_record(text: str) -> Record:
-    """Parse metadata comments and sections (section contents stay verbatim)."""
-    record = Record()
-    current: Optional[str] = None
+    """Split ``text`` into metadata comments and sections (contents verbatim)."""
+    metadata: Dict[str, str] = {}
+    sections: Dict[str, List[str]] = {}
+    current: Optional[List[str]] = None
+    match_metadata = _METADATA_RE.match
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            match = _METADATA_RE.match(line[1:].strip())
-            # First occurrence wins, matching format.py's name/description
-            # handling; non-matching comment lines are plain comments.
-            if match and match.group(1) not in record.metadata:
-                record.metadata[match.group(1)] = match.group(2).strip()
+        first = line[0]
+        if first == "#":
+            # Comment lines that are not ``key: value`` are plain comments.
+            match = match_metadata(line, 1)
+            if match:
+                metadata.setdefault(match.group(1).lower(), match.group(2))
             continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if not current:
+        if first == "[" and line[-1] == "]":
+            header = line[1:-1].strip()
+            if not header:
                 raise ParseError("empty section header '[]'")
-            record.sections.setdefault(current, [])
+            current = sections.setdefault(header, [])
             continue
         if current is None:
             raise ParseError(f"content outside any section: {line!r}")
-        record.sections[current].append(line)
-    return record
+        current.append(line)
+    return Record(metadata, sections)
 
 
-def detect_kind(text: str) -> str:
-    """The record kind declared in ``text``.
+def read_record(record: Record, kind: Optional[str] = None):
+    """Read a parsed record into its object, through the one reader table.
 
-    Falls back to ``"problem"`` for kind-less texts in the original
-    distribution format of :mod:`repro.textio.format` (recognized by their
-    ``[sigma12]`` section), so the catalog and CLI can ingest the paper's
-    task files unchanged.
+    ``kind`` is the kind the caller expects (a record that declares another
+    is a :class:`ParseError`); without it, :attr:`Record.kind` picks the
+    reader.  A chain reads as a tuple of mappings, a delta as a
+    :class:`ChainDelta`, every other kind as its own class.
     """
-    record = parse_record(text)
-    if record.kind:
-        return record.kind
-    if "sigma12" in record.sections:
-        return "problem"
-    raise ParseError("record declares no '# kind:' and is not a composition problem")
+    if kind is None:
+        kind = record.require_kind()
+    else:
+        declared = record.metadata.get("kind")
+        if declared and declared != kind:
+            raise ParseError(f"expected a {kind!r} record, found kind {declared!r}")
+    try:
+        reader = _READERS[kind]
+    except KeyError:
+        raise ParseError(f"unknown record kind {kind!r}") from None
+    return reader(record)
 
 
 def _metadata_value(key: str, value: str) -> str:
-    # Metadata rides on single comment lines; an embedded newline would dump
-    # the remainder outside any section and make the record unparseable, so
-    # reject it before anything reaches disk.
-    if "\n" in value or "\r" in value:
+    # Metadata rides on single comment lines; any line break splitlines()
+    # honours would dump the rest outside any section and make the record
+    # unparseable, so reject it before anything reaches disk.
+    if value and value.splitlines() != [value]:
         raise ParseError(f"metadata value for {key!r} must be a single line: {value!r}")
     return value
 
 
 def _metadata_lines(kind: str, name: str, description: str, extra: Sequence[Tuple[str, str]] = ()) -> List[str]:
-    lines = [f"# kind: {kind}"]
+    """The metadata comments; an empty ``kind`` writes no ``# kind:`` line."""
+    lines = [f"# kind: {kind}"] if kind else []
     if name:
         lines.append(f"# name: {_metadata_value('name', name)}")
     if description:
@@ -161,7 +176,41 @@ def _metadata_lines(kind: str, name: str, description: str, extra: Sequence[Tupl
 
 
 def _signature_section(header: str, signature: Signature) -> List[str]:
-    return [f"[{header}]"] + _signature_to_lines(signature)
+    lines = [f"[{header}]"]
+    for schema in signature.relations():
+        line = f"{schema.name}/{schema.arity}"
+        if schema.key is not None:
+            line += " key=" + ",".join(str(i) for i in schema.key)
+        lines.append(line)
+    return lines
+
+
+def _constraint_section(header: str, constraints) -> List[str]:
+    return [f"[{header}]"] + [str(constraint) for constraint in constraints]
+
+
+def _parse_relation_line(line: str) -> RelationSchema:
+    parts = line.split()
+    name, slash, arity_text = parts[0].partition("/")
+    if not slash:
+        raise ParseError(f"expected 'name/arity' in relation declaration, got {line!r}")
+    try:
+        arity = int(arity_text)
+    except ValueError:
+        raise ParseError(f"invalid arity in relation declaration {line!r}") from None
+    key: Optional[Tuple[int, ...]] = None
+    for extra in parts[1:]:
+        if not extra.startswith("key="):
+            raise ParseError(f"unexpected token {extra!r} in relation declaration {line!r}")
+        try:
+            key = tuple(int(piece) for piece in extra[4:].split(",") if piece)
+        except ValueError:
+            raise ParseError(f"invalid key in relation declaration {line!r}") from None
+    return RelationSchema(name, arity, key)
+
+
+def _parse_signature(lines: Sequence[str]) -> Signature:
+    return Signature([_parse_relation_line(line) for line in lines])
 
 
 def _parse_constraints(lines: Sequence[str], reader: _Reader) -> ConstraintSet:
@@ -183,8 +232,10 @@ def signature_to_text(signature: Signature, name: str = "", description: str = "
 
 def signature_from_text(text: str) -> Signature:
     """Parse a ``schema`` record back into a :class:`Signature`."""
-    record = parse_record(text)
-    record.expect_kind("schema")
+    return read_record(parse_record(text), "schema")
+
+
+def _read_schema(record: Record) -> Signature:
     return _parse_signature(record.section("relations"))
 
 
@@ -198,15 +249,16 @@ def mapping_to_text(mapping: Mapping, name: str = "", description: str = "") -> 
     lines = _metadata_lines("mapping", name, description)
     lines.extend(_signature_section("input", mapping.input_signature))
     lines.extend(_signature_section("output", mapping.output_signature))
-    lines.append("[constraints]")
-    lines.extend(str(constraint) for constraint in mapping.constraints)
+    lines.extend(_constraint_section("constraints", mapping.constraints))
     return "\n".join(lines) + "\n"
 
 
 def mapping_from_text(text: str) -> Mapping:
     """Parse a ``mapping`` record back into a :class:`Mapping`."""
-    record = parse_record(text)
-    record.expect_kind("mapping")
+    return read_record(parse_record(text), "mapping")
+
+
+def _read_mapping(record: Record) -> Mapping:
     return Mapping(
         input_signature=_parse_signature(record.section("input")),
         output_signature=_parse_signature(record.section("output")),
@@ -215,43 +267,71 @@ def mapping_from_text(text: str) -> Mapping:
 
 
 # ---------------------------------------------------------------------------
+# Problems (the paper's format; the writer is repro.textio.format's)
+# ---------------------------------------------------------------------------
+
+_PROBLEM_SECTIONS = ("sigma1", "sigma2", "sigma3", "sigma12", "sigma23")
+
+
+def _read_problem(record: Record) -> CompositionProblem:
+    """A missing section reads as empty; both constraint sets share one leaf table."""
+    sections = record.sections
+    for header in sections:
+        if header not in _PROBLEM_SECTIONS:
+            raise ParseError(f"unknown section {header!r}")
+    reader = _Reader()
+    return CompositionProblem(
+        sigma1=_parse_signature(sections.get("sigma1", ())),
+        sigma2=_parse_signature(sections.get("sigma2", ())),
+        sigma3=_parse_signature(sections.get("sigma3", ())),
+        sigma12=_parse_constraints(sections.get("sigma12", ()), reader),
+        sigma23=_parse_constraints(sections.get("sigma23", ()), reader),
+        name=record.name,
+        description=record.description,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Chains
 # ---------------------------------------------------------------------------
+
+
+def _chain_sections(mappings: Sequence[Mapping], what: str) -> List[str]:
+    """A chain's interleaved sections: ``n + 1`` ``[schema.i]`` and ``n``
+    ``[constraints.i]`` (constraints ``i`` relate schema ``i`` to ``i + 1``)."""
+    for index in range(len(mappings) - 1):
+        if mappings[index].output_signature != mappings[index + 1].input_signature:
+            raise ParseError(
+                f"{what} breaks between mappings {index} and {index + 1}; "
+                "adjacent mappings must share their middle signature"
+            )
+    lines: List[str] = []
+    for index, mapping in enumerate(mappings):
+        lines.extend(_signature_section(f"schema.{index}", mapping.input_signature))
+        lines.extend(_constraint_section(f"constraints.{index}", mapping.constraints))
+    lines.extend(_signature_section(f"schema.{len(mappings)}", mappings[-1].output_signature))
+    return lines
 
 
 def chain_to_text(
     mappings: Sequence[Mapping], name: str = "", description: str = ""
 ) -> str:
-    """Serialize a chain of mappings as one ``chain`` record.
-
-    Adjacent mappings share their middle signature, so a chain of ``n``
-    mappings is written as ``n + 1`` ``[schema.i]`` sections interleaved with
-    ``n`` ``[constraints.i]`` sections (constraints ``i`` relate schema ``i``
-    to schema ``i + 1``).
-    """
+    """Serialize a chain of mappings, each sharing its middle signature with
+    the next, as one ``chain`` record."""
     if not mappings:
         raise ParseError("cannot serialize an empty chain of mappings")
-    for index in range(len(mappings) - 1):
-        if mappings[index].output_signature != mappings[index + 1].input_signature:
-            raise ParseError(
-                f"chain breaks between mappings {index} and {index + 1}; "
-                "adjacent mappings must share their middle signature"
-            )
+    sections = _chain_sections(mappings, "chain")
     lines = _metadata_lines(
         "chain", name, description, extra=(("length", str(len(mappings))),)
     )
-    for index, mapping in enumerate(mappings):
-        lines.extend(_signature_section(f"schema.{index}", mapping.input_signature))
-        lines.append(f"[constraints.{index}]")
-        lines.extend(str(constraint) for constraint in mapping.constraints)
-    lines.extend(_signature_section(f"schema.{len(mappings)}", mappings[-1].output_signature))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + sections) + "\n"
 
 
-def _chain_mappings_from_record(record: Record, declared_length: Optional[str]) -> Tuple[Mapping, ...]:
-    # The sections are authoritative; the length metadata is only a
-    # cross-check (a truncated or hand-edited record must fail loudly, not
-    # silently drop mappings).
+def _read_chain(record: Record, length_key: str = "length") -> Tuple[Mapping, ...]:
+    # The sections are authoritative; the length metadata (a delta's is
+    # ``suffix-length``) is only a cross-check (a truncated or hand-edited
+    # record must fail loudly, not silently drop mappings).
+    declared_length = record.metadata.get(length_key)
     length = sum(1 for key in record.sections if key.startswith("constraints."))
     if length < 1:
         raise ParseError("chain record declares no mappings")
@@ -276,9 +356,7 @@ def _chain_mappings_from_record(record: Record, declared_length: Optional[str]) 
 
 def chain_from_text(text: str) -> Tuple[Mapping, ...]:
     """Parse a ``chain`` record back into its tuple of mappings."""
-    record = parse_record(text)
-    record.expect_kind("chain")
-    return _chain_mappings_from_record(record, record.metadata.get("length"))
+    return read_record(parse_record(text), "chain")
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +369,7 @@ def chain_from_text(text: str) -> Tuple[Mapping, ...]:
 # plus only the mappings after the shared prefix, making the whole history
 # O(n) hops of text.  The suffix is serialized with the same interleaved
 # schema/constraints sections as a full chain record, so the two formats
-# share their parser.
+# share their writer and their parser.
 # ---------------------------------------------------------------------------
 
 
@@ -325,12 +403,7 @@ def chain_delta_to_text(
         raise ParseError("a chain delta must carry at least one suffix mapping")
     if prefix_hops < 1:
         raise ParseError("a chain delta must share at least one prefix hop")
-    for index in range(len(suffix) - 1):
-        if suffix[index].output_signature != suffix[index + 1].input_signature:
-            raise ParseError(
-                f"delta suffix breaks between mappings {index} and {index + 1}; "
-                "adjacent mappings must share their middle signature"
-            )
+    sections = _chain_sections(suffix, "delta suffix")
     lines = _metadata_lines(
         "chain-delta",
         name,
@@ -342,18 +415,15 @@ def chain_delta_to_text(
             ("suffix-length", str(len(suffix))),
         ),
     )
-    for index, mapping in enumerate(suffix):
-        lines.extend(_signature_section(f"schema.{index}", mapping.input_signature))
-        lines.append(f"[constraints.{index}]")
-        lines.extend(str(constraint) for constraint in mapping.constraints)
-    lines.extend(_signature_section(f"schema.{len(suffix)}", suffix[-1].output_signature))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + sections) + "\n"
 
 
 def chain_delta_from_text(text: str) -> ChainDelta:
     """Parse a ``chain-delta`` record back into its :class:`ChainDelta`."""
-    record = parse_record(text)
-    record.expect_kind("chain-delta")
+    return read_record(parse_record(text), "chain-delta")
+
+
+def _read_chain_delta(record: Record) -> ChainDelta:
     try:
         base_version = int(record.metadata["base-version"])
         prefix_hops = int(record.metadata["prefix-hops"])
@@ -366,7 +436,7 @@ def chain_delta_from_text(text: str) -> ChainDelta:
         raise ParseError("chain-delta record is missing the 'base-fingerprint' metadata")
     if base_version < 1 or prefix_hops < 1:
         raise ParseError("chain-delta base-version and prefix-hops must be positive")
-    suffix = _chain_mappings_from_record(record, record.metadata.get("suffix-length"))
+    suffix = _read_chain(record, "suffix-length")
     return ChainDelta(
         base_version=base_version,
         base_fingerprint=base_fingerprint,
@@ -468,8 +538,7 @@ def result_to_text(
     lines.extend(_signature_section("sigma1", result.sigma1))
     lines.extend(_signature_section("residual", result.residual_sigma2))
     lines.extend(_signature_section("sigma3", result.sigma3))
-    lines.append("[constraints]")
-    lines.extend(str(constraint) for constraint in result.constraints)
+    lines.extend(_constraint_section("constraints", result.constraints))
     lines.append("[outcomes]")
     for outcome in result.outcomes:
         lines.extend(_outcome_lines(outcome))
@@ -482,9 +551,10 @@ def result_to_text(
 
 def result_from_text(text: str) -> CompositionResult:
     """Parse a ``result`` record back into a :class:`CompositionResult`."""
-    record = parse_record(text)
-    record.expect_kind("result")
+    return read_record(parse_record(text), "result")
 
+
+def _read_result(record: Record) -> CompositionResult:
     def _float_meta(key: str) -> float:
         try:
             return float(record.metadata.get(key, "0"))
@@ -524,3 +594,14 @@ def result_from_text(text: str) -> CompositionResult:
         components=_int_meta("components"),
         reorderings=_int_meta("reorderings"),
     )
+
+
+#: The one reader table: each record kind's reader over a parsed record.
+_READERS: Dict[str, Callable[[Record], object]] = {
+    "schema": _read_schema,
+    "mapping": _read_mapping,
+    "chain": _read_chain,
+    "chain-delta": _read_chain_delta,
+    "problem": _read_problem,
+    "result": _read_result,
+}

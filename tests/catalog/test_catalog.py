@@ -11,10 +11,16 @@ from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
 from repro.engine import ChainGrower, compose_chain
 from repro.engine.checkpoint import CheckpointStore
-from repro.exceptions import CatalogError
+from repro.exceptions import CatalogError, ParseError, ReproError
 from repro.literature.problems import problem_by_name
 from repro.schema.signature import RelationSchema, Signature
-from repro.textio.records import chain_to_text, mapping_to_text
+from repro.textio.format import problem_to_text
+from repro.textio.records import (
+    chain_to_text,
+    mapping_to_text,
+    result_to_text,
+    signature_to_text,
+)
 
 
 @pytest.fixture()
@@ -157,6 +163,57 @@ class TestPersistence:
         stats = catalog.stats()
         assert stats["kinds"]["mapping"] == {"names": 1, "versions": 1}
         assert stats["total_versions"] == 2
+
+
+class TestRecordTexts:
+    def test_every_kind_round_trips_through_add_text(self, catalog, chain):
+        problem = problem_by_name("example1_movies").problem
+        cases = [
+            ("schema", signature_to_text(chain[0].input_signature, name="s", description="d")),
+            ("mapping", mapping_to_text(chain[0], name="m", description="d")),
+            ("chain", chain_to_text(chain, name="c", description="d")),
+            ("problem", problem_to_text(problem)),
+            ("result", result_to_text(compose(problem), name="r", description="d")),
+        ]
+        for kind, text in cases:
+            entry = catalog.add_text(text)
+            assert (entry.kind, entry.version) == (kind, 1)
+            stored = catalog.text(kind, entry.name)
+            assert stored == ("# kind: problem\n" + text if kind == "problem" else text)
+            assert catalog.verify(kind, entry.name)
+
+    def test_put_problem_refuses_a_record_it_could_not_read_back(self, catalog):
+        problem = dataclasses.replace(
+            problem_by_name("example1_movies").problem, description="line one\nline two"
+        )
+        with pytest.raises(ParseError, match="must be a single line"):
+            catalog.put_problem("p", problem)
+        assert not list(catalog.root.glob("objects/**/*.txt"))
+        assert catalog.journal.stats()["last_seqs"] == {}
+        with pytest.raises(CatalogError):
+            catalog.entry("problem", "p")
+
+    def test_each_stored_text_is_scanned_once_per_read(self, catalog, chain, record_scans):
+        record_scans["scans"] = 0
+        catalog.add_text(mapping_to_text(chain[0], name="m"))
+        assert record_scans["scans"] == 1
+        record_scans["scans"] = 0
+        catalog.add_text(problem_to_text(problem_by_name("example1_movies").problem))
+        assert record_scans["scans"] == 1
+
+        # v1 is a full record; v2..v4 are deltas, each on the one before it.
+        for length in (2, 3, 4, 5):
+            catalog.put_chain("c", chain[:length])
+        depth = 3
+        assert "# base-version: 3\n" in catalog.raw_text("chain", "c", version=4)
+        for read, bound in (
+            (lambda: catalog.text("chain", "c"), depth + 2),
+            (lambda: catalog.get_chain("c"), depth + 1),
+            (lambda: catalog.verify("chain", "c"), depth + 1),
+        ):
+            record_scans["scans"] = 0
+            assert read()
+            assert record_scans["scans"] <= bound
 
 
 class TestDeltaChains:
@@ -334,6 +391,25 @@ class TestGcPolicy:
 
 
 class TestPersistentCheckpoints:
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"max_files": -1},
+            {"max_age_seconds": -1.0},
+            {"grace_seconds": -1.0},
+            {"max_files": float("nan")},
+            {"max_age_seconds": float("nan")},
+            {"grace_seconds": float("nan")},
+        ],
+    )
+    def test_gc_refuses_a_bad_bound_with_a_library_error(self, tmp_path, chain, bound):
+        store = PersistentCheckpointStore(tmp_path / "ckpt")
+        compose_chain(chain, checkpoints=store)
+        on_disk = store.disk_entries()
+        with pytest.raises(ReproError, match=next(iter(bound))):
+            store.gc(**bound)
+        assert store.disk_entries() == on_disk
+
     def test_writes_through_and_reads_back(self, tmp_path, chain):
         store = PersistentCheckpointStore(tmp_path / "ckpt")
         result = compose_chain(chain, checkpoints=store)

@@ -1,5 +1,7 @@
 """Tests for the extended textio record formats (schemas, mappings, chains, results)."""
 
+import dataclasses
+
 import pytest
 
 from repro.compose.composer import compose
@@ -8,13 +10,16 @@ from repro.engine.workloads import ChainGrower
 from repro.exceptions import ParseError
 from repro.literature.problems import all_problems, problem_by_name
 from repro.schema.signature import RelationSchema, Signature
+from repro.textio.format import problem_from_text, problem_to_text
 from repro.textio.records import (
+    ChainDelta,
+    chain_delta_to_text,
     chain_from_text,
     chain_to_text,
-    detect_kind,
     mapping_from_text,
     mapping_to_text,
     parse_record,
+    read_record,
     result_from_text,
     result_to_text,
     signature_from_text,
@@ -68,6 +73,17 @@ class TestMappingRecords:
             mapping_to_text(chain[0], name="m", description="line1\nline2")
         with pytest.raises(ParseError):
             mapping_to_text(chain[0], name="two\nlines")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("description", "line one\nline two"), ("name", "two\rlines"), ("name", "a\u2028b")],
+    )
+    def test_multiline_problem_metadata_rejected(self, field, value):
+        # problem_to_text used to write these verbatim: the record it wrote
+        # could not be read back.
+        problem = problem_by_name("example1_movies").problem
+        with pytest.raises(ParseError, match="must be a single line"):
+            problem_to_text(dataclasses.replace(problem, **{field: value}))
 
 
 class TestChainRecords:
@@ -143,18 +159,77 @@ class TestResultRecords:
             result_from_text(text)
 
 
-class TestDetectKind:
+class TestRecordKind:
     def test_declared_kinds(self, chain):
-        assert detect_kind(mapping_to_text(chain[0])) == "mapping"
-        assert detect_kind(chain_to_text(chain)) == "chain"
-        assert detect_kind(signature_to_text(chain[0].input_signature)) == "schema"
+        assert parse_record(mapping_to_text(chain[0])).kind == "mapping"
+        assert parse_record(chain_to_text(chain)).kind == "chain"
+        assert parse_record(signature_to_text(chain[0].input_signature)).kind == "schema"
 
     def test_kindless_problem_format(self):
-        from repro.textio.format import problem_to_text
-
-        text = problem_to_text(problem_by_name("example1_movies").problem)
-        assert detect_kind(text) == "problem"
+        problem = problem_by_name("example1_movies").problem
+        record = parse_record(problem_to_text(problem))
+        assert "kind" not in record.metadata
+        assert record.kind == "problem"
+        assert read_record(record).fingerprint() == problem.fingerprint()
 
     def test_unrecognizable_rejected(self):
-        with pytest.raises(ParseError):
-            detect_kind("[stuff]\nR/2\n")
+        record = parse_record("[stuff]\nR/2\n")
+        assert record.kind == ""
+        with pytest.raises(ParseError, match="declares no '# kind:'"):
+            read_record(record)
+
+
+class TestReaderTable:
+    def test_every_kind_reads_through_read_record(self, chain):
+        problem = problem_by_name("example1_movies").problem
+        result = compose(problem)
+        delta_text = chain_delta_to_text(
+            chain[2:], base_version=1, base_fingerprint="ab", prefix_hops=2
+        )
+        cases = [
+            (signature_to_text(chain[0].input_signature), "schema", chain[0].input_signature),
+            (mapping_to_text(chain[0]), "mapping", chain[0]),
+            (chain_to_text(chain), "chain", tuple(chain)),
+            (delta_text, "chain-delta", ChainDelta(1, "ab", 2, len(chain), tuple(chain[2:]))),
+            (problem_to_text(problem), "problem", problem),
+            (result_to_text(result), "result", result),
+        ]
+        for text, kind, expected in cases:
+            record = parse_record(text)
+            assert record.kind == kind
+            assert read_record(record) == expected
+            assert read_record(record, kind) == expected
+
+    def test_declared_kind_must_match_the_expected_one(self, chain):
+        record = parse_record(mapping_to_text(chain[0]))
+        with pytest.raises(ParseError, match="expected a 'chain' record, found kind 'mapping'"):
+            read_record(record, "chain")
+        with pytest.raises(ParseError, match="expected a 'problem' record"):
+            problem_from_text(mapping_to_text(chain[0]))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ParseError, match="unknown record kind 'table'"):
+            read_record(parse_record("# kind: table\n[rows]\nR/2\n"))
+
+
+class TestMetadataRule:
+    """One rule for every kind: any key case, optional space before the
+    colon, and the first occurrence of a key wins."""
+
+    def test_first_name_wins_for_problems_too(self):
+        text = problem_to_text(problem_by_name("example1_movies").problem)
+        text = "# name: first\n# name: second\n" + text.replace("# name:", "# note:")
+        assert problem_from_text(text).name == "first"
+        assert parse_record(text).name == "first"
+
+    def test_keys_match_in_any_case(self, chain):
+        problem_text = "# Name: Movies\n# DESCRIPTION: any case\n[sigma12]\n"
+        problem = problem_from_text(problem_text)
+        assert (problem.name, problem.description) == ("Movies", "any case")
+        mapping_text = mapping_to_text(chain[0]).replace("# kind:", "# Kind :")
+        assert mapping_from_text("# Name : m\n" + mapping_text) == chain[0]
+        assert parse_record("# Name : m\n" + mapping_text).name == "m"
+
+    def test_empty_section_header_rejected_for_problems(self):
+        with pytest.raises(ParseError, match=r"empty section header '\[\]'"):
+            problem_from_text("[sigma1]\nR/2\n[]\n")

@@ -111,3 +111,34 @@ def expression_samples(include_extended: bool = False):
             ]
         )
     return samples
+
+
+@pytest.fixture
+def record_scans(monkeypatch):
+    """Counts record scans while a test runs: ``{"scans": n}``.
+
+    ``parse_record`` is the one record scanner; every module that holds a
+    reference to it gets a counting wrapper (the pattern of
+    ``benchmarks/work_counts.py``), restored when the test ends.
+    """
+    import importlib
+
+    from repro.textio import records
+
+    original = records.parse_record
+    counts = {"scans": 0}
+
+    def counted(text):
+        counts["scans"] += 1
+        return original(text)
+
+    for name in (
+        "repro.textio.records",
+        "repro.textio.format",
+        "repro.catalog.catalog",
+        "repro.service.http",
+    ):
+        module = importlib.import_module(name)
+        if hasattr(module, "parse_record"):
+            monkeypatch.setattr(module, "parse_record", counted)
+    return counts

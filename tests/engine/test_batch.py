@@ -17,9 +17,10 @@ from repro.exceptions import EngineError
 
 
 class TestBatchConfig:
-    def test_invalid_timeout_rejected(self):
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+    def test_invalid_timeout_rejected(self, timeout):
         with pytest.raises(EngineError):
-            BatchConfig(timeout_seconds=0)
+            BatchConfig(timeout_seconds=timeout)
 
     def test_config_has_no_pool_knobs(self):
         # Every batch runs in-process; nothing selects or sizes a pool.

@@ -25,6 +25,12 @@ class FakeClock:
         self.now += seconds
 
 
+@pytest.mark.parametrize("ttl", [0, -1.0, float("nan")])
+def test_ttl_must_be_positive(tmp_path, ttl):
+    with pytest.raises(ValueError):
+        LeaseTable(tmp_path, ttl_seconds=ttl)
+
+
 class TestClaimLifecycle:
     def test_acquire_renew_release(self, tmp_path):
         table = LeaseTable(tmp_path, owner="alice", ttl_seconds=30.0)

@@ -34,12 +34,19 @@ def _mappings(count, seed=9):
 
 
 class TestValidation:
-    def test_timeouts_must_be_positive(self, tmp_path):
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"election_timeout_seconds": 0},
+            {"election_timeout_seconds": float("nan")},
+            {"poll_interval_seconds": -1},
+            {"poll_interval_seconds": float("nan")},
+        ],
+    )
+    def test_timeouts_must_be_positive(self, tmp_path, setting):
         catalog = MappingCatalog(tmp_path / "cat")
         with pytest.raises(ServiceError):
-            LeaderElector(catalog, election_timeout_seconds=0)
-        with pytest.raises(ServiceError):
-            LeaderElector(catalog, poll_interval_seconds=-1)
+            LeaderElector(catalog, **setting)
 
     def test_defaults_derive_from_election_timeout(self, tmp_path):
         catalog = MappingCatalog(tmp_path / "cat")

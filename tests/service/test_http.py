@@ -26,6 +26,7 @@ from repro.service import (
 )
 from repro.textio.format import problem_to_text
 from repro.textio.records import (
+    chain_delta_to_text,
     chain_to_text,
     mapping_from_text,
     result_from_text,
@@ -185,6 +186,33 @@ class TestEndpoints:
             _post(base + "/compose", "[garbage\n")
         with excinfo.value as error:
             assert error.code == 400
+
+    def test_uncomposable_records_keep_their_400_messages(self, stack):
+        _, _, base = stack
+        chain = ChainGrower(seed=24, schema_size=3).grow_many(3)
+        delta = chain_delta_to_text(chain[1:], base_version=1, base_fingerprint="ab", prefix_hops=1)
+        for body, message in (
+            ("[stuff]\nR/2\n", "record declares no '# kind:' and is not a composition problem\n"),
+            (delta, "cannot compose a 'chain-delta' record (expected problem or chain)\n"),
+            (
+                signature_to_text(chain[0].input_signature),
+                "cannot compose a 'schema' record (expected problem or chain)\n",
+            ),
+        ):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base + "/compose", body)
+            with excinfo.value as error:
+                assert (error.code, error.read().decode()) == (400, message)
+
+    def test_a_served_compose_scans_its_body_once(self, stack, record_scans):
+        _, _, base = stack
+        problem = problem_by_name("example1_movies").problem
+        chain = ChainGrower(seed=25, schema_size=4).grow_many(4)
+        for body in (problem_to_text(problem), chain_to_text(chain)):
+            record_scans["scans"] = 0
+            status, _, _ = _post(base + "/compose", body)
+            assert status == 200
+            assert record_scans["scans"] == 1
 
     def test_malformed_content_length_is_400(self, stack):
         import http.client

@@ -230,12 +230,18 @@ class TestFollower:
             follower._apply(shard, corrupted)
         assert follower.verify_failures == 1
 
-    def test_parameters_validated(self, replica_catalog, primary):
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"poll_interval_seconds": 0},
+            {"poll_interval_seconds": float("nan")},
+            {"batch_limit": 0},
+        ],
+    )
+    def test_parameters_validated(self, replica_catalog, primary, setting):
         source = LocalJournalSource(primary.root)
         with pytest.raises(ReplicationError):
-            ReplicationFollower(replica_catalog, source, poll_interval_seconds=0)
-        with pytest.raises(ReplicationError):
-            ReplicationFollower(replica_catalog, source, batch_limit=0)
+            ReplicationFollower(replica_catalog, source, **setting)
 
     def test_batched_catch_up_pages_through_backlog(
         self, primary, replica_catalog, mappings

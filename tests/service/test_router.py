@@ -164,13 +164,18 @@ class TestCandidateSelection:
         assert RouterHTTPServer._idempotent("POST", "/compose?store=x")
         assert not RouterHTTPServer._idempotent("POST", "/admin/promote")
 
-    def test_constructor_validation(self):
+    @pytest.mark.parametrize(
+        "backends, setting",
+        [
+            ([], {}),
+            (["http://x"], {"health_interval_seconds": 0}),
+            (["http://x"], {"health_interval_seconds": float("nan")}),
+            (["http://x"], {"min_consecutive_ok": 0}),
+        ],
+    )
+    def test_constructor_validation(self, backends, setting):
         with pytest.raises(ServiceError):
-            RouterHTTPServer([])
-        with pytest.raises(ServiceError):
-            RouterHTTPServer(["http://x"], health_interval_seconds=0)
-        with pytest.raises(ServiceError):
-            RouterHTTPServer(["http://x"], min_consecutive_ok=0)
+            RouterHTTPServer(backends, **setting)
 
 
 class TestRouting:

@@ -26,6 +26,7 @@ from repro.engine import ChainGrower, compose_chain
 from repro.engine import batch as batch_module
 from repro.engine.workloads import WorkloadConfig, generate_workload, pairwise_problems
 from repro.exceptions import (
+    EngineError,
     ServiceDeadlineError,
     ServiceError,
     ServiceOverloadedError,
@@ -309,6 +310,32 @@ class TestBlockingAdmission:
 
 
 class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in (
+                "deadline_seconds",
+                "timeout_seconds",
+                "gc_interval_seconds",
+                "lease_ttl_seconds",
+                "replica_ack_timeout_seconds",
+            )
+            for value in (0, -1.0, float("nan"))
+        ]
+        + [
+            (name, value)
+            for name in ("breaker_recovery_seconds", "slow_trace_seconds")
+            for value in (-1.0, float("nan"))
+        ],
+    )
+    def test_bad_interval_rejected(self, name, value):
+        # A NaN passes a `<= 0` check, and a NaN wait returns at once: the
+        # wait around it would spin.  A non-positive timeout used to surface
+        # only when the first request built its BatchConfig.
+        with pytest.raises(EngineError, match=name):
+            ServiceConfig(**{name: value})
+
     def test_config_has_only_the_used_knobs(self):
         # The nine gc_* fields are one GcPolicy, and the lease wait is always
         # four lease TTLs: no caller set them apart.

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -186,6 +187,54 @@ class TestBadGcBounds:
         )
 
 
+class TestBadIntervals:
+    """A NaN interval is refused at start-up, before any thread starts."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["serve", "--port", "0", "--follow", "{primary}", "--follow-poll", "nan"],
+            [
+                "serve", "--port", "0", "--follow", "{primary}",
+                "--election", "{election}", "--election-timeout", "nan",
+            ],
+            ["serve", "--port", "0", "--deadline", "nan"],
+            ["serve", "--port", "0", "--timeout", "-1"],
+            ["route", "--port", "0", "--backend", "http://127.0.0.1:9", "--health-interval", "nan"],
+        ],
+    )
+    def test_refused_with_no_thread_left_behind(
+        self, root, tmp_path, command, capsys, monkeypatch
+    ):
+        from repro import obs
+        from repro.service import RouterHTTPServer, ServiceHTTPServer
+
+        def never_serve(server):
+            raise AssertionError("the bad setting was not refused at start-up")
+
+        # Serving would block the test: reaching it fails the test instead.
+        monkeypatch.setattr(ServiceHTTPServer, "serve_forever", never_serve)
+        monkeypatch.setattr(RouterHTTPServer, "serve_forever", never_serve)
+        primary = MappingCatalog(tmp_path / "primary").root
+        argv = [
+            part.format(primary=primary, election=tmp_path / "election") for part in command
+        ]
+        before = set(threading.enumerate())
+        try:
+            assert main(["--root", root, *argv]) == 1
+        finally:
+            obs.configure(service="", log_path=None)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("repro-")
+        ]
+
+
 class TestServeOptions:
     def test_serve_offers_no_pool_flags(self, root, capsys):
         # Batches always run in-process and each request runs on the thread
@@ -256,6 +305,12 @@ def _spawn_serve(root: str):
     return process, line.strip().rsplit(" ", 1)[-1]
 
 
+def _stop(process: subprocess.Popen) -> None:
+    process.terminate()
+    process.wait(timeout=10)
+    process.stdout.close()
+
+
 def _post_compose(base: str, body: bytes, query: str = "") -> str:
     deadline = time.time() + 30
     while True:
@@ -272,41 +327,15 @@ def _post_compose(base: str, body: bytes, query: str = "") -> str:
 
 
 class TestServeSubprocess:
-    def test_serve_smoke_byte_identical(self, root, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "--root", root, "serve", "--port", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
+    def test_serve_smoke_byte_identical(self, root):
+        process, base = _spawn_serve(root)
         try:
-            line = process.stdout.readline()
-            assert "http://" in line, f"unexpected banner: {line!r}"
-            base = line.strip().rsplit(" ", 1)[-1]
             problem = problem_by_name("example1_movies").problem
-            body = problem_to_text(problem).encode()
-            deadline = time.time() + 30
-            while True:
-                try:
-                    request = urllib.request.Request(
-                        base + "/compose", data=body, method="POST"
-                    )
-                    with urllib.request.urlopen(request, timeout=30) as response:
-                        text = response.read().decode()
-                    break
-                except (urllib.error.URLError, ConnectionError):
-                    if time.time() > deadline:
-                        raise
-                    time.sleep(0.1)
-            served = result_from_text(text)
+            served = result_from_text(_post_compose(base, problem_to_text(problem).encode()))
             direct = compose(problem)
             assert served.constraints.to_text() == direct.constraints.to_text()
         finally:
-            process.terminate()
-            process.wait(timeout=10)
+            _stop(process)
 
     def test_two_servers_share_one_catalog(self, root):
         """CI's shared-catalog smoke: two serve processes on one root,
@@ -352,5 +381,4 @@ class TestServeSubprocess:
             assert [entry.version for entry in versions] == [1]
         finally:
             for process in (first, second):
-                process.terminate()
-                process.wait(timeout=10)
+                _stop(process)
