@@ -1,24 +1,44 @@
-"""Deterministic structural digests of expression trees.
+"""Deterministic content digests: the one identity of an expression node.
 
-The cached structural *hashes* (:mod:`repro.algebra.summary` warms them,
-constraint-set dedup keys on them) are the right tool inside one process, but
-CPython salts string hashing per process, so they cannot name an expression
-across a pickle boundary.  Incremental recomposition needs exactly that: a
-checkpoint persisted by one process must still be recognized by the next.
+A node's digest is a BLAKE2b hash over its class name, its non-child payload
+and its children's digests.  The summary pass
+(:func:`repro.algebra.summary.node_summary`) computes it bottom-up through
+:func:`_node_digest` and stores it on the (immutable) node, with the node's
+hash: the digest's first eight bytes.  Built-in nodes are equal exactly when
+their classes and digests are, so hashing, equality, checkpoint tokens and
+the service's request key name an expression one way.  Nothing is salted, so
+a digest (and a hash) is the same in every process and survives pickling.
 
-:func:`expression_digest` therefore computes a *deterministic* content digest
-(BLAKE2b over the node class, its non-child payload and the child digests) in
-the same iterative bottom-up style as :func:`repro.algebra.summary.node_summary`,
-and caches it on the (immutable) node.  Like the summaries — and unlike the
-salted ``_hash_value`` — the digest is structural, so it survives pickling;
-shared subtrees (the DAGs the rewrite engine builds) are digested once.
+A built-in class's payload bytes are the ``repr`` of its payload fields (one
+field alone, several as a tuple), written by the per-class table
+:data:`_PAYLOADS` without the dataclass ``__repr__``;
+``tests/engine/test_golden_digests.py`` pins them.  A user-defined operator
+type contributes ``repr(node)`` instead.
 """
 
 from __future__ import annotations
 
 from hashlib import blake2b
 
-from repro.algebra.expressions import _NO_GETTER, _PAYLOAD_GETTERS, Expression
+from repro.algebra.conditions import And, Comparison, FalseCondition, Not, Or, TrueCondition
+from repro.algebra.expressions import (
+    AntiSemiJoin,
+    ConstantRelation,
+    CrossProduct,
+    Difference,
+    Domain,
+    Empty,
+    Expression,
+    Intersection,
+    LeftOuterJoin,
+    Projection,
+    Relation,
+    Selection,
+    SemiJoin,
+    SkolemApplication,
+    Union,
+)
+from repro.algebra.terms import Attribute, Constant
 
 __all__ = ["DIGEST_SIZE", "expression_digest"]
 
@@ -27,55 +47,71 @@ __all__ = ["DIGEST_SIZE", "expression_digest"]
 DIGEST_SIZE = 16
 
 
+def _term_text(term) -> str:
+    cls = term.__class__
+    if cls is Attribute:
+        return f"Attribute(index={term.index!r})"
+    if cls is Constant:
+        return f"Constant(value={term.value!r})"
+    return repr(term)
+
+
+def _condition_text(c) -> str:
+    """The dataclass ``repr`` of a condition, spelled out for the built-in ones."""
+    cls = c.__class__
+    if cls is Comparison:
+        return f"Comparison(left={_term_text(c.left)}, op={c.op!r}, right={_term_text(c.right)})"
+    if cls is And or cls is Or:
+        inner = ", ".join(map(_condition_text, c.operands))
+        return f"{cls.__qualname__}(operands=({inner}{',' if len(c.operands) == 1 else ''}))"
+    if cls is Not:
+        return f"Not(operand={_condition_text(c.operand)})"
+    if cls is TrueCondition or cls is FalseCondition:
+        return f"{cls.__qualname__}()"
+    return repr(c)
+
+
+def _condition_payload(node) -> bytes:
+    return _condition_text(node.condition).encode()
+
+
+#: Per-class payload bytes of the built-in node types.
+_PAYLOADS = {
+    Relation: lambda n: f"({n.name!r}, {n.relation_arity!r})".encode(),
+    Domain: lambda n: repr(n.domain_arity).encode(),
+    Empty: lambda n: repr(n.empty_arity).encode(),
+    ConstantRelation: lambda n: repr((n.tuples, n.constant_arity)).encode(),
+    Projection: lambda n: repr(n.indices).encode(),
+    SkolemApplication: lambda n: repr(n.function).encode(),
+    **dict.fromkeys((Union, Intersection, Difference, CrossProduct), lambda n: b""),
+    **dict.fromkeys((Selection, SemiJoin, AntiSemiJoin, LeftOuterJoin), _condition_payload),
+}
+
+#: Each built-in class's name, encoded once.
+_NAMES = {cls: cls.__qualname__.encode() for cls in _PAYLOADS}
+
+
 def _node_digest(node: Expression, children: tuple) -> bytes:
+    """The digest of ``node``, whose children carry their digests already."""
     cls = node.__class__
-    getter = _PAYLOAD_GETTERS.get(cls, _NO_GETTER)
-    if getter is _NO_GETTER:
-        # A user-defined operator type outside the structural-equality
-        # machinery: fall back to its repr, mirroring the __eq__ fallback.
-        payload = repr(node).encode()
-    elif getter is not None:
-        payload = repr(getter(node)).encode()
+    payload_of = _PAYLOADS.get(cls)
+    if payload_of is None:
+        # A user-defined operator type: its class name and its repr.
+        data = cls.__qualname__.encode() + repr(node).encode()
     else:
-        payload = b""
-    parts = [cls.__qualname__.encode(), payload, b"|%d|" % len(children)]
-    parts.extend(child._digest for child in children)
-    # One call over the concatenation: BLAKE2b is a streaming hash, so this is
-    # the same digest as updating with each part in turn.
-    return blake2b(b"".join(parts), digest_size=DIGEST_SIZE).digest()
+        data = _NAMES[cls] + payload_of(node)
+    data += b"|%d|" % len(children)
+    for child in children:
+        data += child._digest
+    return blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
 def expression_digest(expression: Expression) -> bytes:
-    """Return the cached deterministic digest of ``expression``, computing it once.
+    """Return the digest of ``expression``, summarizing it first if needed."""
+    try:
+        return expression._digest
+    except AttributeError:
+        from repro.algebra.summary import node_summary
 
-    A node whose children are all digested already is digested directly.
-    Otherwise the walk is iterative (explicit stack), so the deep operator
-    chains normalization produces are safe, and a subtree reached twice is
-    digested once.
-    """
-    value = getattr(expression, "_digest", None)
-    if value is not None:
-        return value
-    children = expression.children
-    for child in children:
-        if getattr(child, "_digest", None) is None:
-            break
-    else:
-        value = _node_digest(expression, children)
-        object.__setattr__(expression, "_digest", value)
-        return value
-
-    setattr_ = object.__setattr__
-    stack = [(expression, False)]
-    while stack:
-        node, ready = stack.pop()
-        if hasattr(node, "_digest"):
-            continue
-        children = node.children
-        if not ready and children:
-            stack.append((node, True))
-            for child in children:
-                stack.append((child, False))
-            continue
-        setattr_(node, "_digest", _node_digest(node, children))
-    return expression._digest
+        node_summary(expression)
+        return expression._digest

@@ -18,7 +18,10 @@ selection and projection — plus:
 All nodes are immutable, hashable, structurally comparable, expose their
 ``arity``, their ``children`` and a ``with_children`` reconstructor so that
 generic traversal utilities (:mod:`repro.algebra.traversal`) can rewrite trees
-without knowing every node type.
+without knowing every node type.  A built-in node's one identity is its
+content digest (:mod:`repro.algebra.digest`): its hash is the digest's first
+eight bytes, and two nodes are equal when they have the same class and the
+same digest.
 
 Attribute indices are 0-based everywhere.
 """
@@ -88,13 +91,11 @@ class Expression:
         return f"<{type(self).__name__}: {self}>"
 
     def __getstate__(self):
-        # Drop the lazily cached structural hash (string hashing is salted
-        # per process, so a pickled hash would be wrong in another process)
-        # and the "already simplified" stamp (it holds an in-process rules
-        # token whose identity does not survive pickling).  The structural
-        # summaries and cached arity survive — they are process-independent.
+        # Drop the "already simplified" stamp (it holds an in-process rules
+        # token whose identity does not survive pickling).  The summary, the
+        # digest, the hash derived from it and the cached arity survive —
+        # they are process-independent.
         state = dict(self.__dict__)
-        state.pop("_hash_value", None)
         state.pop("_simplified_for", None)
         return state
 
@@ -553,115 +554,31 @@ EXTENDED_OPERATOR_TYPES = (SemiJoin, AntiSemiJoin, LeftOuterJoin)
 LEAF_TYPES = (Relation, Domain, Empty, ConstantRelation)
 
 
-#: Per-class structural hash (the generated dataclass ``__hash__``) over the
-#: children's cached hashes; :func:`repro.algebra.summary.node_summary` stores
-#: it on every node it summarizes.
-_STRUCTURAL_HASHES = {}
+def _digest_hash(self) -> int:
+    """A built-in node's hash: its digest's first eight bytes, cached."""
+    try:
+        return self._hash_value
+    except AttributeError:
+        # Not summarized yet (the summary pass stores the hash with the
+        # digest); the pass is iterative, so a fresh deep tree is safe.
+        from repro.algebra.summary import node_summary
+
+        node_summary(self)
+        return self._hash_value
 
 
-def _install_cached_hash(cls) -> None:
-    """Replace a node class's generated ``__hash__`` with a caching one.
-
-    Expressions are immutable trees that the composition algorithm hashes
-    constantly (constraint-set dedup, memo tables, substitution maps); the
-    generated dataclass hash re-walks the whole tree every time, turning those
-    lookups into the dominant cost at scale.  Each node's structural hash is
-    computed once, bottom-up, and cached: the summary pass stores it as it
-    summarizes the node, so a hash is an attribute read.  Only a constraint's
-    first hash and a node hashed before it was summarized (an unpickled one,
-    say: pickling drops the salted hash) take the miss path below.
-    """
-    generated = cls.__hash__
-    # Constraints share this wrapper; their "children" are the two sides.
-    is_expression = issubclass(cls, Expression)
-    if is_expression:
-        _STRUCTURAL_HASHES[cls] = generated
-
-    def __hash__(self, _generated=generated, _is_expression=is_expression):
-        try:
-            return self._hash_value
-        except AttributeError:
-            pass
-        sides = self.children if _is_expression else (self.left, self.right)
-        for side in sides:
-            if not hasattr(side, "_hash_value"):
-                # A fresh deep tree: the generated hash would recurse through
-                # every unhashed level and can blow the recursion limit on
-                # the operator chains normalization builds.  The summary pass
-                # hashes the subtree iteratively, bottom-up.
-                from repro.algebra.summary import node_summary
-
-                for root in (self,) if _is_expression else sides:
-                    node_summary(root)
-                break
-        value = getattr(self, "_hash_value", None)
-        if value is None:
-            value = _generated(self)
-            object.__setattr__(self, "_hash_value", value)
-        return value
-
-    cls.__hash__ = __hash__
-
-
-#: Per-class extractor of the non-child payload compared by structural equality.
-_PAYLOAD_GETTERS = {}
-
-#: Sentinel distinguishing "class not registered" from "no payload" (None).
-_NO_GETTER = object()
-
-
-def _install_structural_eq(cls, payload: Tuple[str, ...]) -> None:
-    """Replace the generated (recursive) ``__eq__`` with an iterative one.
-
-    The dataclass-generated equality recurses through the operand fields and
-    hits Python's recursion limit on the deep Union/Intersection chains that
-    normalization produces; the replacement walks an explicit stack, keeps
-    the identity and cached-hash fast paths, and compares each node's
-    non-child payload through a per-class getter.
-    """
-    if payload:
-        import operator
-
-        getter = operator.attrgetter(*payload)
-    else:
-        getter = None
-    _PAYLOAD_GETTERS[cls] = getter
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        getters = _PAYLOAD_GETTERS
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if b.__class__ is not a.__class__:
-                return False
-            try:
-                if a._hash_value != b._hash_value:
-                    return False
-            except AttributeError:
-                pass
-            payload_of = getters.get(a.__class__, _NO_GETTER)
-            if payload_of is _NO_GETTER:
-                # A user-defined operator type (registered through the
-                # extensibility machinery): defer to its own __eq__.
-                if a != b:
-                    return False
-                continue
-            if payload_of is not None and payload_of(a) != payload_of(b):
-                return False
-            a_children = a.children
-            b_children = b.children
-            if len(a_children) != len(b_children):
-                return False
-            stack.extend(zip(a_children, b_children))
+def _digest_eq(self, other) -> bool:
+    """Built-in nodes are equal when they have the same class and digest."""
+    if self is other:
         return True
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    try:
+        return self._digest == other._digest
+    except AttributeError:
+        from repro.algebra.digest import expression_digest
 
-    cls.__eq__ = __eq__
+        return expression_digest(self) == expression_digest(other)
 
 
 def _install_cached_arity(cls) -> None:
@@ -690,24 +607,8 @@ def _install_cached_arity(cls) -> None:
 for _node_type in LEAF_TYPES + BASIC_OPERATOR_TYPES + EXTENDED_OPERATOR_TYPES + (
     SkolemApplication,
 ):
-    _install_cached_hash(_node_type)
+    _node_type.__hash__ = _digest_hash
+    _node_type.__eq__ = _digest_eq
 for _node_type in BASIC_OPERATOR_TYPES + EXTENDED_OPERATOR_TYPES + (SkolemApplication,):
     _install_cached_arity(_node_type)
-for _node_type, _payload in (
-    (Relation, ("name", "relation_arity")),
-    (Domain, ("domain_arity",)),
-    (Empty, ("empty_arity",)),
-    (ConstantRelation, ("tuples", "constant_arity")),
-    (Union, ()),
-    (Intersection, ()),
-    (Difference, ()),
-    (CrossProduct, ()),
-    (Selection, ("condition",)),
-    (Projection, ("indices",)),
-    (SkolemApplication, ("function",)),
-    (SemiJoin, ("condition",)),
-    (AntiSemiJoin, ("condition",)),
-    (LeftOuterJoin, ("condition",)),
-):
-    _install_structural_eq(_node_type, _payload)
-del _node_type, _payload
+del _node_type

@@ -28,9 +28,10 @@ All attribute indices are 0-based.
 
 :func:`expression_to_text` keeps an explicit stack, so an expression of any
 depth renders (the algebra's operator chains reach thousands of nodes), and
-:mod:`repro.algebra.parser` reads it back at the same depth.  Conditions
-render recursively: condition objects are themselves recursive, and real
-ones nest a few levels at most.
+:mod:`repro.algebra.parser` reads it back at the same depth.  A user-defined
+operator type renders through its own ``__str__`` (the parser does not read
+that text back).  Conditions render recursively: condition objects are
+themselves recursive, and real ones nest a few levels at most.
 """
 
 from __future__ import annotations
@@ -169,6 +170,9 @@ def expression_to_text(expression: Expression) -> str:
             push(", ")
             node = node.left
             continue
+        elif type(node).__str__ is not Expression.__str__:
+            # A user-defined operator type that renders itself.
+            emit(str(node))
         else:
             raise ExpressionError(f"cannot render expression of type {type(node).__name__}")
         # The node is rendered: emit the text after it, up to the next operand.

@@ -10,19 +10,22 @@ tree walk made the guards themselves a hot path.
 :func:`node_summary` computes every one of those facts in a single iterative
 bottom-up pass and stores the result directly on the node, so every later
 query — on the node or on any of its subtrees — is an attribute read.  The
-pass also stores the node's structural hash, computed from the children's
-cached hashes, which keeps hashing shallow (no recursion) even for the very
-deep Union/Intersection chains that left- and right-normalization produce.
+pass also stores the node's identity: its digest (:mod:`repro.algebra.digest`),
+computed from the children's cached digests, and the hash derived from it.
+So hashing and equality stay shallow (no recursion) even for the very deep
+Union/Intersection chains that left- and right-normalization produce.
 
-Summaries are structural (no per-process salting), so they survive pickling.
+Summaries, digests and hashes are structural (no per-process salting), so
+they survive pickling.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import FrozenSet, NamedTuple
 
+from repro.algebra import digest
 from repro.algebra.expressions import (
-    _STRUCTURAL_HASHES,
     Domain,
     Empty,
     Expression,
@@ -104,14 +107,20 @@ def _combine(node: Expression, children: tuple) -> NodeSummary:
     )
 
 
-def _store(node: Expression, summary: NodeSummary, _setattr=object.__setattr__) -> None:
-    """Cache ``summary`` and the structural hash on ``node`` (children done)."""
-    _setattr(node, "_summary", summary)
-    structural_hash = _STRUCTURAL_HASHES.get(node.__class__)
-    if structural_hash is None:
-        hash(node)  # a user-defined operator type hashes itself
-    else:
-        _setattr(node, "_hash_value", structural_hash(node))
+#: Reads the digest's first eight bytes as a signed little-endian integer.
+_hash_of_digest = struct.Struct("<q").unpack_from
+
+
+def _store(node: Expression, summary: NodeSummary, children: tuple) -> None:
+    """Cache ``summary``, the digest and its hash on ``node`` (children done).
+
+    Every node built pays for this call, so it writes the (frozen) node's
+    ``__dict__`` directly instead of calling ``object.__setattr__`` thrice.
+    """
+    state = node.__dict__
+    state["_summary"] = summary
+    value = state["_digest"] = digest._node_digest(node, children)
+    state["_hash_value"] = _hash_of_digest(value)[0]
 
 
 def node_summary(expression: Expression) -> NodeSummary:
@@ -121,8 +130,8 @@ def node_summary(expression: Expression) -> NodeSummary:
     rebuilds) is summarized directly.  Otherwise the computation is iterative
     (explicit stack) and shares work across DAG-shaped trees (a subtree
     reached twice is summarized once).  Every node summarized also gets its
-    cached structural hash, so later dictionary operations never recurse
-    through the tree.
+    digest and hash, so later hashing and equality never recurse through the
+    tree.
     """
     summary = getattr(expression, "_summary", None)
     if summary is not None:
@@ -133,7 +142,7 @@ def node_summary(expression: Expression) -> NodeSummary:
             break
     else:
         summary = _combine(expression, children) if children else _leaf_summary(expression)
-        _store(expression, summary)
+        _store(expression, summary, children)
         return summary
 
     stack = [(expression, False)]
@@ -144,12 +153,13 @@ def node_summary(expression: Expression) -> NodeSummary:
         if not ready:
             children = node.children
             if not children:
-                _store(node, _leaf_summary(node))
+                _store(node, _leaf_summary(node), children)
                 continue
             stack.append((node, True))
             for child in children:
                 stack.append((child, False))
         else:
-            # Children hashes are cached by now, so this stays shallow.
-            _store(node, _combine(node, node.children))
+            # The children's digests are cached by now, so this stays shallow.
+            children = node.children
+            _store(node, _combine(node, children), children)
     return expression._summary

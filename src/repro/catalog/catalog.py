@@ -164,8 +164,9 @@ class GcPolicy:
       whatever the other bounds say — so a sweep in one process cannot race a
       peer that wrote (and is about to reuse) an entry moments ago.
 
-    A negative (or NaN) count, age or grace, a keep-versions bound below 1
-    and a ``journal_max_segments`` below 1 raise
+    A count that is not an ``int`` (a ``bool``, a float, NaN), a negative
+    (or NaN) count, age or grace, a keep-versions bound below 1 and a
+    ``journal_max_segments`` below 1 raise
     :class:`~repro.exceptions.CatalogError`.
     """
 
@@ -180,6 +181,15 @@ class GcPolicy:
     grace_seconds: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in (
+            "checkpoint_max_files",
+            "result_keep_versions",
+            "chain_keep_versions",
+            "journal_max_segments",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, type(None))):
+                raise CatalogError(f"{name} must be an integer, not {value!r}")
         for name in (
             "checkpoint_max_files",
             "checkpoint_max_age_seconds",

@@ -55,9 +55,11 @@ from repro.retry import RetryPolicy, RetryStats
 __all__ = ["PersistentCheckpointStore"]
 
 #: Leading element of every pickled checkpoint file; files whose magic or
-#: format version disagree are treated as absent (never an error).
+#: format version disagree are treated as absent (never an error).  Version 2
+#: nodes carry their digest and the hash derived from it; version 1 nodes did
+#: not, and cannot be read as version 2.
 _MAGIC = "repro-checkpoint"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 _SUFFIX = ".ckpt"
 
@@ -229,8 +231,11 @@ class PersistentCheckpointStore(CheckpointStore):
         is deleted; the report counts what would be.
 
         Returns ``{"examined": ..., "removed": ..., "retained": ...}``.  A
-        negative (or NaN) bound raises :class:`~repro.exceptions.CatalogError`.
+        negative (or NaN) bound, or a ``max_files`` that is not an ``int``,
+        raises :class:`~repro.exceptions.CatalogError`.
         """
+        if isinstance(max_files, bool) or not isinstance(max_files, (int, type(None))):
+            raise CatalogError(f"max_files must be an integer, not {max_files!r}")
         for name, value in (
             ("max_files", max_files),
             ("max_age_seconds", max_age_seconds),

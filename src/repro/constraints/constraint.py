@@ -12,7 +12,7 @@ from hashlib import blake2b
 from typing import FrozenSet, Tuple
 
 from repro.algebra.digest import DIGEST_SIZE, expression_digest
-from repro.algebra.expressions import Expression, Relation, _install_cached_hash
+from repro.algebra.expressions import Expression, Relation
 from repro.algebra import traversal
 from repro.algebra.summary import node_summary
 from repro.exceptions import ArityError, ConstraintError
@@ -98,10 +98,11 @@ class Constraint:
     def digest(self) -> bytes:
         """Deterministic content digest of the constraint (kind plus both sides).
 
-        Unlike the per-process salted structural hash, the digest survives
-        pickling and names the constraint identically in every process — the
-        property the incremental-recomposition checkpoints rely on.  Cached on
-        the (immutable) constraint.
+        Unlike the constraint's hash (a user-defined operator side may hash
+        with the per-process salt), the digest survives pickling and names the
+        constraint identically in every process — the property the
+        incremental-recomposition checkpoints rely on.  Cached on the
+        (immutable) constraint.
         """
         value = getattr(self, "_digest", None)
         if value is None:
@@ -131,12 +132,22 @@ class Constraint:
     def __repr__(self) -> str:
         return f"<{type(self).__name__}: {self}>"
 
+    def __hash__(self) -> int:
+        # Constraints are hashed as often as expressions (constraint-set dedup
+        # happens on every rewrite), so the hash of the two sides is cached.
+        try:
+            return self._hash_value
+        except AttributeError:
+            value = hash((self.left, self.right))
+            object.__setattr__(self, "_hash_value", value)
+            return value
+
     def __getstate__(self):
-        # Drop the lazily cached hash (string hashing is salted per process)
-        # and the "already simplified" and "known to fail" stamps (they hold
-        # an in-process rules token that never matches after unpickling);
-        # the cached name set and operator count are structural and survive
-        # pickling.
+        # Drop the lazily cached hash (a user-defined operator side may hash
+        # with the per-process string salt) and the "already simplified" and
+        # "known to fail" stamps (they hold an in-process rules token that
+        # never matches after unpickling); the cached name set and operator
+        # count are structural and survive pickling.
         state = dict(self.__dict__)
         state.pop("_hash_value", None)
         state.pop("_simplified_for", None)
@@ -150,6 +161,8 @@ class ContainmentConstraint(Constraint):
 
     left: Expression
     right: Expression
+
+    __hash__ = Constraint.__hash__  # explicit, so the dataclass keeps the cached hash
 
     def __post_init__(self) -> None:
         _validate_sides(self.left, self.right)
@@ -175,6 +188,8 @@ class EqualityConstraint(Constraint):
 
     left: Expression
     right: Expression
+
+    __hash__ = Constraint.__hash__  # explicit, so the dataclass keeps the cached hash
 
     def __post_init__(self) -> None:
         _validate_sides(self.left, self.right)
@@ -220,10 +235,3 @@ def _validate_sides(left: Expression, right: Expression) -> None:
             f"constraint sides must have equal arity, got {left.arity} and {right.arity} "
             f"({left} vs {right})"
         )
-
-
-# Constraints are hashed as often as expressions (constraint-set dedup happens
-# on every rewrite); cache their structural hash the same way.
-for _constraint_type in (ContainmentConstraint, EqualityConstraint):
-    _install_cached_hash(_constraint_type)
-del _constraint_type

@@ -191,6 +191,12 @@ class ServiceConfig:
     slow_trace_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Counts must be ints: NaN passes a `< 1` check (a NaN queue bound
+        # refuses every submission, a NaN threshold never opens the breaker).
+        for name in ("max_pending", "breaker_failure_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise EngineError(f"{name} must be an integer, not {value!r}")
         if self.max_pending < 1:
             raise EngineError("max_pending must be positive")
         if self.admission not in ("reject", "block"):

@@ -157,9 +157,14 @@ def read_record(record: Record, kind: Optional[str] = None):
 def _metadata_value(key: str, value: str) -> str:
     # Metadata rides on single comment lines; any line break splitlines()
     # honours would dump the rest outside any section and make the record
-    # unparseable, so reject it before anything reaches disk.
+    # unparseable, and the reader strips the whitespace around a value, so
+    # reject both before anything reaches disk.
     if value and value.splitlines() != [value]:
         raise ParseError(f"metadata value for {key!r} must be a single line: {value!r}")
+    if value != value.strip():
+        raise ParseError(
+            f"metadata value for {key!r} must not start or end with whitespace: {value!r}"
+        )
     return value
 
 

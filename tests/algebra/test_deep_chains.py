@@ -73,6 +73,14 @@ class TestDeepChains:
         node_summary(chain)  # warms hashes bottom-up without recursion
         assert isinstance(hash(chain), int)
 
+    def test_independent_chains_compare_by_digest(self):
+        # Two chains built apart share no node.  Equality summarizes each
+        # side iteratively and compares the digests; it never walks the pair.
+        left, right = _union_chain(DEPTH), _union_chain(DEPTH)
+        assert left is not right and left.left is not right.left
+        assert left == right and hash(left) == hash(right)
+        assert left != _union_chain(DEPTH, "S")
+
     def test_simplify_deep_selection_chain(self):
         # σ_true(σ_true(...(R))) collapses to R no matter how deep.
         expression = Relation("R", 2)

@@ -3,9 +3,11 @@
 import dataclasses
 import inspect
 import json
+import pickle
 
 import pytest
 
+from repro.algebra.expressions import Expression
 from repro.catalog import GcPolicy, MappingCatalog, PersistentCheckpointStore
 from repro.compose.composer import compose
 from repro.compose.config import ComposerConfig
@@ -377,6 +379,20 @@ class TestGcPolicy:
                 GcPolicy(**{name: bad})
         assert getattr(GcPolicy(**{name: 1}), name) == 1
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            (name, value)
+            for name in ("checkpoint_max_files",) + _AT_LEAST_ONE
+            for value in (float("nan"), 1.5, 2.0, True, "3")
+        ],
+    )
+    def test_counts_that_are_not_ints_are_refused(self, name, value):
+        # NaN passes a `< 1` check, and NaN or a fraction would reach list
+        # slicing inside gc() and fail there with a bare TypeError.
+        with pytest.raises(CatalogError, match=name):
+            GcPolicy(**{name: value})
+
     def test_gc_takes_one_policy(self, catalog):
         assert list(inspect.signature(MappingCatalog.gc).parameters) == [
             "self",
@@ -400,6 +416,8 @@ class TestPersistentCheckpoints:
             {"max_files": float("nan")},
             {"max_age_seconds": float("nan")},
             {"grace_seconds": float("nan")},
+            {"max_files": 2.5},
+            {"max_files": True},
         ],
     )
     def test_gc_refuses_a_bad_bound_with_a_library_error(self, tmp_path, chain, bound):
@@ -469,6 +487,34 @@ class TestPersistentCheckpoints:
         again = compose_chain(chain, checkpoints=rewarmed)
         assert again.reused_hops == len(chain) - 1  # every hop checkpoint valid again
         assert again.constraints.to_text() == result.constraints.to_text()
+
+    def test_a_version_1_file_is_a_miss(self, tmp_path, chain, monkeypatch):
+        # Version-1 files hold nodes with a summary but no stored digest or
+        # digest-derived hash.  Read as version 2, composing past such a hop
+        # dies on the first hash; the version check makes the file a miss.
+        compose_chain(chain[:-1], checkpoints=PersistentCheckpointStore(tmp_path / "ckpt"))
+        files = sorted((tmp_path / "ckpt").glob("*.ckpt"))
+        state = Expression.__getstate__
+
+        def version_1_state(node):
+            kept = state(node)
+            kept.pop("_digest", None)
+            kept.pop("_hash_value", None)
+            return kept
+
+        monkeypatch.setattr(Expression, "__getstate__", version_1_state)
+        for path in files:
+            magic, _, checkpoint = pickle.loads(path.read_bytes())
+            path.write_bytes(pickle.dumps((magic, 1, checkpoint)))
+        monkeypatch.undo()
+
+        fresh = PersistentCheckpointStore(tmp_path / "ckpt")
+        recomposed = compose_chain(chain, checkpoints=fresh)
+        assert recomposed.reused_hops == 0
+        assert fresh.disk_invalid == len(files)  # every prefix probe, deepest first
+        assert recomposed.constraints.to_text() == compose_chain(chain).constraints.to_text()
+        again = compose_chain(chain, checkpoints=PersistentCheckpointStore(tmp_path / "ckpt"))
+        assert again.reused_hops == len(again.hops)
 
     def test_outputs_identical_with_and_without_store(self, tmp_path, chain):
         bare = compose_chain(chain)

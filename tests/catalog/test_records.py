@@ -75,6 +75,19 @@ class TestMappingRecords:
             mapping_to_text(chain[0], name="two\nlines")
 
     @pytest.mark.parametrize(
+        "value", ["ends with a space ", " starts with a space", "\ttabbed", "nbsp\u00a0"]
+    )
+    def test_metadata_with_surrounding_whitespace_rejected(self, chain, value):
+        # The reader strips the whitespace around a value, so it would read
+        # back different from what was written; the serializer must refuse.
+        with pytest.raises(ParseError, match="whitespace"):
+            mapping_to_text(chain[0], name="m", description=value)
+        with pytest.raises(ParseError, match="whitespace"):
+            signature_to_text(chain[0].input_signature, name=value)
+        written = signature_to_text(chain[0].input_signature, description="inner  spaces kept")
+        assert parse_record(written).metadata["description"] == "inner  spaces kept"
+
+    @pytest.mark.parametrize(
         "field, value",
         [("description", "line one\nline two"), ("name", "two\rlines"), ("name", "a\u2028b")],
     )

@@ -336,6 +336,14 @@ class TestServiceConfig:
         with pytest.raises(EngineError, match=name):
             ServiceConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["max_pending", "breaker_failure_threshold"])
+    @pytest.mark.parametrize("value", [0, -1, float("nan"), 2.5, 3.0, True])
+    def test_bad_count_rejected(self, name, value):
+        # A NaN queue bound would answer every submission with 429, and a
+        # NaN breaker threshold would never open the breaker.
+        with pytest.raises(EngineError, match=name):
+            ServiceConfig(**{name: value})
+
     def test_config_has_only_the_used_knobs(self):
         # The nine gc_* fields are one GcPolicy, and the lease wait is always
         # four lease TTLs: no caller set them apart.
