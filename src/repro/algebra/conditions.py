@@ -211,7 +211,10 @@ class Comparison(Condition):
 
 
 def _flatten(kind: type, operands: Iterable[Condition]) -> Tuple[Condition, ...]:
-    """Flatten nested And/Or operands of the same kind into a single tuple."""
+    """Flatten nested And/Or operands of the same kind into a single tuple.
+
+    One operand is refused: ``(c)`` would print and read back as ``c``.
+    """
     flat = []
     for operand in operands:
         if not isinstance(operand, Condition):
@@ -220,18 +223,18 @@ def _flatten(kind: type, operands: Iterable[Condition]) -> Tuple[Condition, ...]
             flat.extend(operand.operands)  # type: ignore[attr-defined]
         else:
             flat.append(operand)
+    if len(flat) < 2:
+        raise ConditionError(f"{kind.__name__} requires at least two operands")
     return tuple(flat)
 
 
 @dataclass(frozen=True, init=False)
 class And(Condition):
-    """Conjunction of one or more conditions."""
+    """Conjunction of two or more conditions."""
 
     operands: Tuple[Condition, ...]
 
     def __init__(self, *operands: Condition):
-        if not operands:
-            raise ConditionError("And requires at least one operand")
         object.__setattr__(self, "operands", _flatten(And, operands))
 
     def evaluate(self, row: Tuple) -> bool:
@@ -255,13 +258,11 @@ class And(Condition):
 
 @dataclass(frozen=True, init=False)
 class Or(Condition):
-    """Disjunction of one or more conditions."""
+    """Disjunction of two or more conditions."""
 
     operands: Tuple[Condition, ...]
 
     def __init__(self, *operands: Condition):
-        if not operands:
-            raise ConditionError("Or requires at least one operand")
         object.__setattr__(self, "operands", _flatten(Or, operands))
 
     def evaluate(self, row: Tuple) -> bool:

@@ -11,9 +11,9 @@ a digest (and a hash) is the same in every process and survives pickling.
 
 A built-in class's payload bytes are the ``repr`` of its payload fields (one
 field alone, several as a tuple), written by the per-class table
-:data:`_PAYLOADS` without the dataclass ``__repr__``;
-``tests/engine/test_golden_digests.py`` pins them.  A user-defined operator
-type contributes ``repr(node)`` instead.
+:data:`_PAYLOADS` without the dataclass ``__repr__`` (a prefix operator's
+by its declared payload kind).  ``tests/engine/test_golden_digests.py``
+pins them.  A user-defined operator type contributes ``repr(node)`` instead.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from hashlib import blake2b
 
 from repro.algebra.conditions import And, Comparison, FalseCondition, Not, Or, TrueCondition
 from repro.algebra.expressions import (
-    AntiSemiJoin,
+    PREFIX_OPERATOR_TYPES,
     ConstantRelation,
     CrossProduct,
     Difference,
@@ -30,11 +30,7 @@ from repro.algebra.expressions import (
     Empty,
     Expression,
     Intersection,
-    LeftOuterJoin,
-    Projection,
     Relation,
-    Selection,
-    SemiJoin,
     SkolemApplication,
     Union,
 )
@@ -63,7 +59,7 @@ def _condition_text(c) -> str:
         return f"Comparison(left={_term_text(c.left)}, op={c.op!r}, right={_term_text(c.right)})"
     if cls is And or cls is Or:
         inner = ", ".join(map(_condition_text, c.operands))
-        return f"{cls.__qualname__}(operands=({inner}{',' if len(c.operands) == 1 else ''}))"
+        return f"{cls.__qualname__}(operands=({inner}))"
     if cls is Not:
         return f"Not(operand={_condition_text(c.operand)})"
     if cls is TrueCondition or cls is FalseCondition:
@@ -71,9 +67,12 @@ def _condition_text(c) -> str:
     return repr(c)
 
 
-def _condition_payload(node) -> bytes:
-    return _condition_text(node.condition).encode()
-
+#: Payload bytes of a prefix operator, by its payload kind.
+_PREFIX_PAYLOADS = {
+    None: lambda n: b"",
+    "condition": lambda n: _condition_text(n.condition).encode(),
+    "indices": lambda n: repr(n.indices).encode(),
+}
 
 #: Per-class payload bytes of the built-in node types.
 _PAYLOADS = {
@@ -81,10 +80,9 @@ _PAYLOADS = {
     Domain: lambda n: repr(n.domain_arity).encode(),
     Empty: lambda n: repr(n.empty_arity).encode(),
     ConstantRelation: lambda n: repr((n.tuples, n.constant_arity)).encode(),
-    Projection: lambda n: repr(n.indices).encode(),
     SkolemApplication: lambda n: repr(n.function).encode(),
     **dict.fromkeys((Union, Intersection, Difference, CrossProduct), lambda n: b""),
-    **dict.fromkeys((Selection, SemiJoin, AntiSemiJoin, LeftOuterJoin), _condition_payload),
+    **{cls: _PREFIX_PAYLOADS[cls.payload_kind] for cls in PREFIX_OPERATOR_TYPES},
 }
 
 #: Each built-in class's name, encoded once.

@@ -11,8 +11,9 @@ each Skolem function is supplied (a :class:`SkolemInterpretation`); this is
 used by tests that verify the *semantics* of Skolemized constraint sets, never
 by the composition algorithm itself.
 
-The extended operators (semijoin, anti-semijoin, left outerjoin) are evaluated
-too, with NULL padding for unmatched outerjoin rows.
+A prefix operator (selection, projection, the extended joins and transitive
+closure) is evaluated through the one set semantics its class declares,
+:meth:`~repro.algebra.expressions.PrefixOperator.evaluate_rows`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.algebra.expressions import (
-    AntiSemiJoin,
     ConstantRelation,
     CrossProduct,
     Difference,
@@ -30,15 +30,11 @@ from repro.algebra.expressions import (
     Empty,
     Expression,
     Intersection,
-    LeftOuterJoin,
-    Projection,
+    PrefixOperator,
     Relation,
-    Selection,
-    SemiJoin,
     SkolemApplication,
     Union,
 )
-from repro.algebra.terms import NULL
 from repro.exceptions import EvaluationError
 from repro.schema.instance import Instance
 
@@ -129,6 +125,8 @@ class Evaluator:
             )
 
     def _dispatch(self, expression: Expression) -> Rows:
+        if isinstance(expression, PrefixOperator):
+            return expression.evaluate_rows(*map(self.evaluate, expression.children))
         if isinstance(expression, Relation):
             return self._eval_relation(expression)
         if isinstance(expression, Domain):
@@ -145,23 +143,8 @@ class Evaluator:
             return self.evaluate(expression.left) - self.evaluate(expression.right)
         if isinstance(expression, CrossProduct):
             return self._eval_product(expression)
-        if isinstance(expression, Selection):
-            return frozenset(
-                row for row in self.evaluate(expression.child) if expression.condition.evaluate(row)
-            )
-        if isinstance(expression, Projection):
-            return frozenset(
-                tuple(row[i] for i in expression.indices)
-                for row in self.evaluate(expression.child)
-            )
         if isinstance(expression, SkolemApplication):
             return self._eval_skolem(expression)
-        if isinstance(expression, SemiJoin):
-            return self._eval_semijoin(expression, keep_matching=True)
-        if isinstance(expression, AntiSemiJoin):
-            return self._eval_semijoin(expression, keep_matching=False)
-        if isinstance(expression, LeftOuterJoin):
-            return self._eval_leftouterjoin(expression)
         raise EvaluationError(f"cannot evaluate expression of type {type(expression).__name__}")
 
     # -- node evaluators -------------------------------------------------------
@@ -208,35 +191,6 @@ class Evaluator:
             arguments = tuple(row[i] for i in expression.function.depends_on)
             value = self.skolems.apply(expression.function.name, arguments)
             result.add(row + (value,))
-        return frozenset(result)
-
-    def _eval_semijoin(self, expression, keep_matching: bool) -> Rows:
-        left = self.evaluate(expression.left)
-        right = self.evaluate(expression.right)
-        result = set()
-        for left_row in left:
-            matched = any(
-                expression.condition.evaluate(left_row + right_row) for right_row in right
-            )
-            if matched == keep_matching:
-                result.add(left_row)
-        return frozenset(result)
-
-    def _eval_leftouterjoin(self, expression: LeftOuterJoin) -> Rows:
-        left = self.evaluate(expression.left)
-        right = self.evaluate(expression.right)
-        null_padding = (NULL,) * expression.right.arity
-        result = set()
-        for left_row in left:
-            matches = [
-                left_row + right_row
-                for right_row in right
-                if expression.condition.evaluate(left_row + right_row)
-            ]
-            if matches:
-                result.update(matches)
-            else:
-                result.add(left_row + null_padding)
         return frozenset(result)
 
 

@@ -9,11 +9,12 @@ selection and projection — plus:
 * the special empty relation ``∅^r`` (:class:`Empty`),
 * constant relations (needed by the schema-evolution primitive "add default"),
 * Skolem-function applications, used internally by right-normalization
-  (Section 3.5), and
+  (Section 3.5),
 * *extended* operators (:class:`SemiJoin`, :class:`AntiSemiJoin`,
   :class:`LeftOuterJoin`) that play the role of the paper's "user-defined"
   operators and are wired into the algorithm only through the operator
-  registry (:mod:`repro.operators.registry`).
+  registry (:mod:`repro.operators.registry`), and
+* :class:`TransitiveClosure`, which no registry rule describes.
 
 All nodes are immutable, hashable, structurally comparable, expose their
 ``arity``, their ``children`` and a ``with_children`` reconstructor so that
@@ -29,9 +30,10 @@ Attribute indices are 0-based everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.algebra.conditions import Condition
+from repro.algebra.terms import NULL
 from repro.exceptions import ArityError, ExpressionError
 
 __all__ = [
@@ -51,8 +53,11 @@ __all__ = [
     "SemiJoin",
     "AntiSemiJoin",
     "LeftOuterJoin",
+    "TransitiveClosure",
+    "PrefixOperator",
     "BASIC_OPERATOR_TYPES",
     "EXTENDED_OPERATOR_TYPES",
+    "PREFIX_OPERATOR_TYPES",
     "LEAF_TYPES",
 ]
 
@@ -100,13 +105,42 @@ class Expression:
         return state
 
 
+class PrefixOperator(Expression):
+    """An operator written ``keyword[payload](operand, …)``.
+
+    ``operator_name`` is the keyword.  The first ``operand_count`` fields are
+    the operands, and ``payload_kind`` names the field after them, if any:
+    ``"condition"`` (written ``[c]``) or ``"indices"`` (written ``[i,…]``).
+    """
+
+    operand_count = 1
+    payload_kind: Optional[str] = None
+
+    def evaluate_rows(self, *child_rows: FrozenSet[tuple]) -> FrozenSet[tuple]:
+        """The set of rows this node denotes, given each child's rows."""
+        raise NotImplementedError
+
+
 # ---------------------------------------------------------------------------
 # Leaves
 # ---------------------------------------------------------------------------
 
 
+class _Leaf(Expression):
+    """A node type without sub-expressions."""
+
+    @property
+    def children(self) -> Tuple[Expression, ...]:
+        return ()
+
+    def with_children(self, children: Tuple[Expression, ...]) -> Expression:
+        if children:
+            raise ExpressionError(f"{type(self).__name__} is a leaf and takes no children")
+        return self
+
+
 @dataclass(frozen=True, repr=False)
-class Relation(Expression):
+class Relation(_Leaf):
     """A reference to a base relation symbol with a fixed arity."""
 
     name: str
@@ -124,18 +158,9 @@ class Relation(Expression):
     def arity(self) -> int:
         return self.relation_arity
 
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return ()
-
-    def with_children(self, children: Tuple[Expression, ...]) -> Expression:
-        if children:
-            raise ExpressionError("Relation is a leaf and takes no children")
-        return self
-
 
 @dataclass(frozen=True, repr=False)
-class Domain(Expression):
+class Domain(_Leaf):
     """The active-domain relation ``D^r`` of the paper.
 
     ``D`` is shorthand for the union of all single-column projections of all
@@ -154,18 +179,9 @@ class Domain(Expression):
     def arity(self) -> int:
         return self.domain_arity
 
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return ()
-
-    def with_children(self, children: Tuple[Expression, ...]) -> Expression:
-        if children:
-            raise ExpressionError("Domain is a leaf and takes no children")
-        return self
-
 
 @dataclass(frozen=True, repr=False)
-class Empty(Expression):
+class Empty(_Leaf):
     """The empty relation ``∅`` of a given arity."""
 
     empty_arity: int
@@ -180,18 +196,9 @@ class Empty(Expression):
     def arity(self) -> int:
         return self.empty_arity
 
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return ()
-
-    def with_children(self, children: Tuple[Expression, ...]) -> Expression:
-        if children:
-            raise ExpressionError("Empty is a leaf and takes no children")
-        return self
-
 
 @dataclass(frozen=True, repr=False)
-class ConstantRelation(Expression):
+class ConstantRelation(_Leaf):
     """A small literal relation, e.g. the ``{c}`` used by the "add default" primitive."""
 
     tuples: Tuple[Tuple[object, ...], ...]
@@ -221,15 +228,6 @@ class ConstantRelation(Expression):
     @property
     def arity(self) -> int:
         return self.constant_arity
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return ()
-
-    def with_children(self, children: Tuple[Expression, ...]) -> Expression:
-        if children:
-            raise ExpressionError("ConstantRelation is a leaf and takes no children")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +321,14 @@ class CrossProduct(Expression):
 
 
 @dataclass(frozen=True, repr=False)
-class Selection(Expression):
+class Selection(PrefixOperator):
     """Selection ``σ_c(E)``; keeps the rows of ``E`` satisfying condition ``c``."""
 
     child: Expression
     condition: Condition
 
     operator_name = "select"
+    payload_kind = "condition"
 
     def __post_init__(self) -> None:
         if not isinstance(self.child, Expression):
@@ -355,9 +354,12 @@ class Selection(Expression):
             raise ExpressionError("select takes exactly one child")
         return Selection(children[0], self.condition)
 
+    def evaluate_rows(self, rows):
+        return frozenset(row for row in rows if self.condition.evaluate(row))
+
 
 @dataclass(frozen=True, repr=False)
-class Projection(Expression):
+class Projection(PrefixOperator):
     """Projection ``π_I(E)``; ``I`` is a list of 0-based column indices.
 
     The index list may reorder and duplicate columns, which is how column
@@ -368,6 +370,7 @@ class Projection(Expression):
     indices: Tuple[int, ...]
 
     operator_name = "project"
+    payload_kind = "indices"
 
     def __post_init__(self) -> None:
         if not isinstance(self.child, Expression):
@@ -396,6 +399,9 @@ class Projection(Expression):
         if len(children) != 1:
             raise ExpressionError("project takes exactly one child")
         return Projection(children[0], self.indices)
+
+    def evaluate_rows(self, rows):
+        return frozenset(tuple(row[i] for i in self.indices) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,7 @@ class SkolemApplication(Expression):
 
 
 @dataclass(frozen=True, repr=False)
-class _JoinLike(Expression):
+class _JoinLike(PrefixOperator):
     """Shared implementation for the condition-based extended binary operators.
 
     The join condition's attribute indices refer to the concatenation of the
@@ -480,6 +486,9 @@ class _JoinLike(Expression):
     left: Expression
     right: Expression
     condition: Condition
+
+    operand_count = 2
+    payload_kind = "condition"
 
     def __post_init__(self) -> None:
         for operand in (self.left, self.right):
@@ -503,6 +512,10 @@ class _JoinLike(Expression):
             raise ExpressionError(f"{self.operator_name} takes exactly two children")
         return type(self)(children[0], children[1], self.condition)
 
+    def _matches(self, left_row, right_rows):
+        evaluate = self.condition.evaluate
+        return [left_row + row for row in right_rows if evaluate(left_row + row)]
+
 
 @dataclass(frozen=True, repr=False)
 class SemiJoin(_JoinLike):
@@ -513,6 +526,9 @@ class SemiJoin(_JoinLike):
     @property
     def arity(self) -> int:
         return self.left.arity
+
+    def evaluate_rows(self, left_rows, right_rows):
+        return frozenset(row for row in left_rows if self._matches(row, right_rows))
 
 
 @dataclass(frozen=True, repr=False)
@@ -525,6 +541,9 @@ class AntiSemiJoin(_JoinLike):
     def arity(self) -> int:
         return self.left.arity
 
+    def evaluate_rows(self, left_rows, right_rows):
+        return frozenset(row for row in left_rows if not self._matches(row, right_rows))
+
 
 @dataclass(frozen=True, repr=False)
 class LeftOuterJoin(_JoinLike):
@@ -535,6 +554,57 @@ class LeftOuterJoin(_JoinLike):
     @property
     def arity(self) -> int:
         return self.left.arity + self.right.arity
+
+    def evaluate_rows(self, left_rows, right_rows):
+        padding = (NULL,) * self.right.arity
+        result = set()
+        for row in left_rows:
+            matches = self._matches(row, right_rows)
+            if matches:
+                result.update(matches)
+            else:
+                result.add(row + padding)
+        return frozenset(result)
+
+
+@dataclass(frozen=True, repr=False)
+class TransitiveClosure(PrefixOperator):
+    """Transitive closure ``tc(E)`` of a binary relation (Nash et al., Theorem 1).
+
+    No registry rule describes it, so the algorithm tolerates it but cannot
+    eliminate a symbol that it guards.
+    """
+
+    child: Expression
+
+    operator_name = "tclosure"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.child, Expression):
+            raise ExpressionError(f"tclosure child must be an Expression, got {self.child!r}")
+        if self.child.arity != 2:
+            raise ArityError("transitive closure requires a binary relation")
+
+    @property
+    def arity(self) -> int:
+        return 2
+
+    @property
+    def children(self) -> Tuple[Expression, ...]:
+        return (self.child,)
+
+    def with_children(self, children: Tuple[Expression, ...]) -> Expression:
+        if len(children) != 1:
+            raise ExpressionError("tclosure takes exactly one child")
+        return TransitiveClosure(children[0])
+
+    def evaluate_rows(self, rows):
+        closure, frontier = set(rows), set(rows)
+        while frontier:
+            # Extend each pair found last round by one more edge.
+            frontier = {(a, d) for a, b in frontier for c, d in rows if b == c} - closure
+            closure |= frontier
+        return frozenset(closure)
 
 
 #: The six basic operators of the paper plus the leaf node types.
@@ -549,6 +619,9 @@ BASIC_OPERATOR_TYPES = (
 
 #: Operators handled purely through the extensibility machinery.
 EXTENDED_OPERATOR_TYPES = (SemiJoin, AntiSemiJoin, LeftOuterJoin)
+
+#: The operators written ``keyword[payload](operand, …)``; the parser reads these.
+PREFIX_OPERATOR_TYPES = (Selection, Projection, *EXTENDED_OPERATOR_TYPES, TransitiveClosure)
 
 #: Node types that never have children.
 LEAF_TYPES = (Relation, Domain, Empty, ConstantRelation)
@@ -604,11 +677,10 @@ def _install_cached_arity(cls) -> None:
     cls.arity = property(arity)
 
 
-for _node_type in LEAF_TYPES + BASIC_OPERATOR_TYPES + EXTENDED_OPERATOR_TYPES + (
-    SkolemApplication,
-):
+_OPERATOR_TYPES = set(BASIC_OPERATOR_TYPES + PREFIX_OPERATOR_TYPES) | {SkolemApplication}
+for _node_type in LEAF_TYPES + tuple(_OPERATOR_TYPES):
     _node_type.__hash__ = _digest_hash
     _node_type.__eq__ = _digest_eq
-for _node_type in BASIC_OPERATOR_TYPES + EXTENDED_OPERATOR_TYPES + (SkolemApplication,):
+for _node_type in _OPERATOR_TYPES:
     _install_cached_arity(_node_type)
 del _node_type

@@ -9,7 +9,7 @@ Relation arities come either from an inline declaration (``R/3``) or from a
 signature passed to the parsing functions.  The reserved words are::
 
     union intersect x select project skolem semijoin antisemijoin
-    leftouterjoin D empty const true false and or not
+    leftouterjoin tclosure D empty const true false and or not
 
 How it works: one compiled-regex call splits a line into token strings, and
 the parser walks that list with an index and an explicit stack, so nesting
@@ -47,7 +47,7 @@ from repro.algebra.conditions import (
     TRUE,
 )
 from repro.algebra.expressions import (
-    AntiSemiJoin,
+    PREFIX_OPERATOR_TYPES,
     ConstantRelation,
     CrossProduct,
     Difference,
@@ -55,11 +55,7 @@ from repro.algebra.expressions import (
     Empty,
     Expression,
     Intersection,
-    LeftOuterJoin,
-    Projection,
     Relation,
-    Selection,
-    SemiJoin,
     SkolemApplication,
     SkolemFunction,
     Union,
@@ -71,6 +67,10 @@ from repro.exceptions import ParseError, ReproError
 __all__ = ["parse_expression", "parse_condition", "parse_constraint", "parse_constraints"]
 
 
+#: A number: digits, then a fraction, an exponent (``repr`` writes ``1e-05``)
+#: or both.  They share one optional group, so after an integer's digits the
+#: scanner makes one failed test, not two.
+_NUMBER = r"\d+(?:\.\d+(?:e[-+]\d+)?|e[-+]\d+)?"
 #: One token: a name, an operator, a number, a quoted string or an attribute
 #: ``#i``.  The alternatives start with distinct characters, so their order
 #: only sets speed: the most frequent come first.  Whitespace separates
@@ -78,7 +78,7 @@ __all__ = ["parse_expression", "parse_condition", "parse_constraint", "parse_con
 _VALID_TOKEN = (
     r"[A-Za-z_][A-Za-z0-9_.]*"
     r"|[=/()\[\],;]|<=?|>=?|!="
-    r"|\d+(?:\.\d+)?|-(?:\d+(?:\.\d+)?)?"
+    rf"|{_NUMBER}|-(?:{_NUMBER})?"
     r"|'(?:\\.|[^'\\])*'"
     r"|\#\d+"
 )
@@ -89,34 +89,30 @@ _TOKEN_RE = re.compile(_VALID_TOKEN + r"|\S")
 
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _BINARY = {"union": Union, "intersect": Intersection, "x": CrossProduct, "-": Difference}
-_JOINS = {"semijoin": SemiJoin, "antisemijoin": AntiSemiJoin, "leftouterjoin": LeftOuterJoin}
 _COMPARISONS = frozenset(("=", "!=", "<", "<=", ">", ">="))
-_RESERVED = (
-    set(_BINARY) - {"-"}
-    | set(_JOINS)
-    | {"select", "project", "skolem", "D", "empty", "const", "true", "false", "and", "or", "not"}
-)
 
-# Tokens that start a primary other than a relation leaf, and the closers
-# of the expression contexts on the parser's stack (a context ends at a
-# token that continues no binary chain).  A unary operator's context closes
-# as ``closer(child, payload)``: Selection, Projection or
-# _skolem_application.  Every node is built when its closing token is read,
-# as a recursive-descent parser would, so the first error raised is the same.
-_OPEN, _SELECT, _PROJECT, _SKOLEM, _JOIN, _DOMAIN, _EMPTY, _CONST = range(8)
+# Tokens that start a primary other than a relation leaf, and each prefix
+# keyword's class, payload kind and number of operands after the first.  A
+# context on the parser's stack ends at a token that continues no binary
+# chain: a parenthesis yields its content, and an operator builds its node
+# as ``closer(*operands, payload)`` when its closing token is read, as a
+# recursive-descent parser would, so the first error raised is the same.
+_PREFIX_FORMS = {
+    node_type.operator_name: (node_type, node_type.payload_kind, node_type.operand_count - 1)
+    for node_type in PREFIX_OPERATOR_TYPES
+}
+_PREFIX, _OPEN, _SKOLEM, _DOMAIN, _EMPTY, _CONST = range(6)
 _PRIMARY = {
     "(": _OPEN,
-    "select": _SELECT,
-    "project": _PROJECT,
     "skolem": _SKOLEM,
-    "semijoin": _JOIN,
-    "antisemijoin": _JOIN,
-    "leftouterjoin": _JOIN,
     "D": _DOMAIN,
     "empty": _EMPTY,
     "const": _CONST,
+    **dict.fromkeys(_PREFIX_FORMS, _PREFIX),
 }
-_PAREN, _JOIN_LEFT, _JOIN_RIGHT = object(), object(), object()
+#: Words that start no primary and name no relation.
+_RESERVED = set(_BINARY) - {"-"} | {"true", "false", "and", "or", "not"}
+_PAREN, _NO_PAYLOAD = object(), object()
 
 
 class _Syntax(Exception):
@@ -186,7 +182,7 @@ def _integer(tokens: List[str], index: int) -> int:
         pass
     if not _is_number(token):
         raise _Syntax(index, f"expected 'number' but found {token!r}")
-    if "." in token:
+    if "." in token or "e" in token:
         raise _Syntax(index, f"expected an integer, found {token!r}")
     return _number(index, token)
 
@@ -196,7 +192,7 @@ def _literal(tokens: List[str], index: int) -> object:
     if token[:1] == "'" and len(token) > 1:
         return token[1:-1].replace("\\'", "'").replace("\\\\", "\\")
     if _is_number(token):
-        return _number(index, token, "." not in token)
+        return _number(index, token, "." not in token and "e" not in token)
     raise _Syntax(index, f"expected a literal value, found {token!r}")
 
 
@@ -208,12 +204,12 @@ def _term(tokens: List[str], index: int):
 
 
 def _index_list(tokens: List[str], index: int) -> Tuple[Tuple[int, ...], int]:
-    """``[i, j, ...]`` starting at ``index``; returns the indices and the next index."""
+    """``[i, j, ...](`` starting at ``index``; returns the indices and the next index."""
     if tokens[index] != "[":
         raise _expected(tokens, index, "[")
     index += 1
     if tokens[index] == "]":
-        return (), index + 1
+        return (), _open(tokens, index + 1)
     values = []
     while True:
         values.append(_integer(tokens, index))
@@ -223,7 +219,7 @@ def _index_list(tokens: List[str], index: int) -> Tuple[Tuple[int, ...], int]:
         index += 1
     if tokens[index] != "]":
         raise _expected(tokens, index, "]")
-    return tuple(values), index + 1
+    return tuple(values), _open(tokens, index + 1)
 
 
 def _condition(tokens: List[str], index: int) -> Tuple[Condition, int]:
@@ -379,26 +375,26 @@ class _Reader:
                 value = Domain(arity) if code == _DOMAIN else Empty(arity)
             else:
                 # An operator whose operands follow in parentheses: push a
-                # context and parse on inside it.
-                if code == _OPEN:
-                    closer, payload, index = _PAREN, None, index + 1
-                elif code == _PROJECT:
-                    payload, index = _index_list(tokens, index + 1)
-                    closer, index = Projection, _open(tokens, index)
-                elif code == _SELECT:
-                    payload, index = _condition_in_brackets(tokens, index + 1)
-                    closer = Selection
-                elif code == _JOIN:
-                    condition, index = _condition_in_brackets(tokens, index + 1)
-                    closer, payload = _JOIN_LEFT, (_JOINS[token], condition)
+                # context (its closer, its payload, how many operands follow
+                # the one being read, and the operands read so far) and
+                # parse on inside it.
+                if code == _PREFIX:
+                    closer, kind, rest = _PREFIX_FORMS[token]
+                    if kind == "condition":
+                        payload, index = _condition_in_brackets(tokens, index + 1)
+                    elif kind == "indices":
+                        payload, index = _index_list(tokens, index + 1)
+                    else:
+                        payload, index = _NO_PAYLOAD, _open(tokens, index + 1)
+                elif code == _OPEN:
+                    closer, payload, rest, index = _PAREN, None, 0, index + 1
                 else:
                     name = tokens[index + 1]
                     if name[:1] not in _NAME_START:
                         raise _expected(tokens, index + 1, "name")
                     depends_on, index = _index_list(tokens, index + 2)
-                    closer, payload = _skolem_application, (name, depends_on)
-                    index = _open(tokens, index)
-                stack.append((closer, payload, left, binary))
+                    closer, payload, rest = _skolem_application, (name, depends_on), 0
+                stack.append((closer, payload, rest, (), left, binary))
                 left = binary = None
                 continue
             # Fold the primary in, closing every context that ends here.
@@ -410,11 +406,12 @@ class _Reader:
                     break
                 if not stack:
                     return left, index
-                closer, payload, outer_left, outer_binary = stack.pop()
-                if closer is _JOIN_LEFT:
+                closer, payload, rest, operands, outer_left, outer_binary = stack.pop()
+                if rest:
                     if token != ",":
                         raise _expected(tokens, index, ",")
-                    stack.append((_JOIN_RIGHT, payload + (left,), outer_left, outer_binary))
+                    operands += (left,)
+                    stack.append((closer, payload, rest - 1, operands, outer_left, outer_binary))
                     left = None
                     break
                 if token != ")":
@@ -422,9 +419,10 @@ class _Reader:
                 index += 1
                 if closer is _PAREN:
                     value = left
-                elif closer is _JOIN_RIGHT:
-                    node_type, condition, join_left = payload
-                    value = node_type(join_left, left, condition)
+                elif payload is _NO_PAYLOAD:
+                    value = closer(*operands, left)
+                elif operands:
+                    value = closer(*operands, left, payload)
                 else:
                     value = closer(left, payload)
                 left, binary = outer_left, outer_binary

@@ -20,11 +20,14 @@ Paper                     Text syntax
 ``E1 ⋉_c E2``             ``semijoin[c](E1, E2)``
 ``E1 ▷_c E2``             ``antisemijoin[c](E1, E2)``
 ``E1 ⟕_c E2``             ``leftouterjoin[c](E1, E2)``
+``tc(E)``                 ``tclosure(E)``
 ``E1 ⊆ E2``               ``E1 <= E2``
 ``E1 = E2``               ``E1 = E2``
 ========================  =============================================
 
-All attribute indices are 0-based.
+All attribute indices are 0-based.  Every
+:class:`~repro.algebra.expressions.PrefixOperator` renders through one path,
+``keyword[payload](operand, …)``, from what its class declares.
 
 :func:`expression_to_text` keeps an explicit stack, so an expression of any
 depth renders (the algebra's operator chains reach thousands of nodes), and
@@ -46,7 +49,6 @@ from repro.algebra.conditions import (
     TrueCondition,
 )
 from repro.algebra.expressions import (
-    AntiSemiJoin,
     ConstantRelation,
     CrossProduct,
     Difference,
@@ -54,11 +56,8 @@ from repro.algebra.expressions import (
     Empty,
     Expression,
     Intersection,
-    LeftOuterJoin,
-    Projection,
+    PrefixOperator,
     Relation,
-    Selection,
-    SemiJoin,
     SkolemApplication,
     Union,
 )
@@ -121,8 +120,10 @@ def expression_to_text(expression: Expression) -> str:
     operator's opening text, and keeps what follows the current node on a
     stack (closing text and pending operands, last first).
     """
+    # A relation is most of what a record prints: read its field, not the
+    # ``arity`` property.
     if isinstance(expression, Relation):
-        return f"{expression.name}/{expression.arity}"
+        return f"{expression.name}/{expression.relation_arity}"
     parts = []
     emit = parts.append
     pending = []
@@ -130,16 +131,21 @@ def expression_to_text(expression: Expression) -> str:
     node = expression
     while True:
         if isinstance(node, Relation):
-            emit(f"{node.name}/{node.arity}")
-        elif isinstance(node, Projection):
-            emit(f"project[{','.join(map(str, node.indices))}](")
+            emit(f"{node.name}/{node.relation_arity}")
+        elif isinstance(node, PrefixOperator):
+            kind = node.payload_kind
+            if kind == "condition":
+                emit(f"{node.operator_name}[{condition_to_text(node.condition)}](")
+            elif kind == "indices":
+                emit(f"{node.operator_name}[{','.join(map(str, node.indices))}](")
+            else:
+                emit(node.operator_name + "(")
             push(")")
-            node = node.child
-            continue
-        elif isinstance(node, Selection):
-            emit(f"select[{condition_to_text(node.condition)}](")
-            push(")")
-            node = node.child
+            children = node.children
+            for child in children[:0:-1]:
+                push(child)
+                push(", ")
+            node = children[0]
             continue
         elif isinstance(node, (Union, Intersection, Difference, CrossProduct)):
             emit("(")
@@ -162,13 +168,6 @@ def expression_to_text(expression: Expression) -> str:
             emit(f"skolem {node.function.name}[{deps}](")
             push(")")
             node = node.child
-            continue
-        elif isinstance(node, (SemiJoin, AntiSemiJoin, LeftOuterJoin)):
-            emit(f"{node.operator_name}[{condition_to_text(node.condition)}](")
-            push(")")
-            push(node.right)
-            push(", ")
-            node = node.left
             continue
         elif type(node).__str__ is not Expression.__str__:
             # A user-defined operator type that renders itself.

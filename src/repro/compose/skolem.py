@@ -79,10 +79,6 @@ class SkolemizedSide:
     def base_arity(self) -> int:
         return self.base.arity
 
-    @property
-    def skolem_count(self) -> int:
-        return len(self.skolems)
-
     def function_names(self) -> Tuple[str, ...]:
         return tuple(column.function.name for column in self.skolems)
 

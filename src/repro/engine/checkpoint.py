@@ -63,11 +63,6 @@ class ChainCheckpoint:
     residual: "Signature"
     current_output: "Signature"
 
-    @property
-    def hop_count(self) -> int:
-        """Number of hops this checkpoint covers (its depth into the chain)."""
-        return len(self.hops)
-
     def __repr__(self) -> str:
         return (
             f"<ChainCheckpoint depth {len(self.hops)}: "

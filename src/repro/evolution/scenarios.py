@@ -59,14 +59,6 @@ class EditCompositionRecord:
     operator_count: int
 
     @property
-    def attempted_count(self) -> int:
-        return len(self.consumed_symbols) + len(self.retried_symbols)
-
-    @property
-    def eliminated_count(self) -> int:
-        return len(self.consumed_eliminated) + len(self.retried_eliminated)
-
-    @property
     def fraction_eliminated(self) -> float:
         """Fraction of this edit's consumed symbols that were eliminated."""
         if not self.consumed_symbols:

@@ -65,21 +65,6 @@ class CompositionError(ReproError):
     """
 
 
-class NormalizationError(CompositionError):
-    """Left- or right-normalization could not bring a constraint into shape.
-
-    Used internally; the compose steps convert it into a per-symbol failure.
-    """
-
-
-class DeskolemizationError(CompositionError):
-    """The 12-step deskolemization procedure failed.
-
-    Used internally by the right-compose step; converted into a per-symbol
-    failure rather than propagated to the caller.
-    """
-
-
 class EngineError(ReproError):
     """The batch/chain composition engine was misused or a batch run failed.
 

@@ -12,6 +12,11 @@ Each :class:`LiteratureProblem` records the composition problem, its source,
 and — where the literature documents it — which intermediate symbols are
 expected to be eliminable.  The test suite and the literature benchmark both
 iterate over :func:`all_problems`.
+
+The transitive closure of [8] Theorem 1 is the library's
+:class:`~repro.algebra.expressions.TransitiveClosure`: its class holds its
+syntax and semantics, so both problems that use it read back from text, and
+the registry, which holds what the algorithm knows, has no rule for it.
 """
 
 from __future__ import annotations
@@ -24,18 +29,17 @@ from repro.algebra.conditions import And, equals, equals_const
 from repro.algebra.expressions import (
     CrossProduct,
     Difference,
-    Expression,
     Intersection,
     LeftOuterJoin,
     Projection,
     Relation,
     Selection,
+    TransitiveClosure,
     Union,
 )
 from repro.constraints.constraint import ContainmentConstraint, EqualityConstraint
 from repro.constraints.constraint_set import ConstraintSet
 from repro.constraints.dependencies import key_constraint
-from repro.exceptions import ExpressionError
 from repro.mapping.composition_problem import CompositionProblem
 from repro.schema.signature import RelationSchema, Signature
 
@@ -67,42 +71,6 @@ class LiteratureProblem:
 
 def _sig(**arities: int) -> Signature:
     return Signature.from_arities(arities)
-
-
-class _TransitiveClosure(Expression):
-    """The transitive-closure operator of [8] Theorem 1 — deliberately *unregistered*.
-
-    The composition algorithm knows nothing about this operator, which is
-    exactly the point of the example: the algorithm must tolerate it (not
-    crash) yet cannot eliminate the symbol it guards.
-    """
-
-    operator_name = "tclosure"
-
-    def __init__(self, child: Expression):
-        if child.arity != 2:
-            raise ExpressionError("transitive closure requires a binary relation")
-        self._child = child
-
-    @property
-    def arity(self) -> int:
-        return 2
-
-    @property
-    def children(self) -> Tuple[Expression, ...]:
-        return (self._child,)
-
-    def with_children(self, children: Tuple[Expression, ...]) -> "Expression":
-        return _TransitiveClosure(children[0])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _TransitiveClosure) and other._child == self._child
-
-    def __hash__(self) -> int:
-        return hash(("tclosure", self._child))
-
-    def __str__(self) -> str:
-        return f"tclosure({self._child})"
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +335,7 @@ def _nash_transitive_closure() -> LiteratureProblem:
         sigma2=_sig(S=2),
         sigma3=_sig(T=2),
         sigma12=ConstraintSet(
-            [ContainmentConstraint(r, s), EqualityConstraint(s, _TransitiveClosure(s))]
+            [ContainmentConstraint(r, s), EqualityConstraint(s, TransitiveClosure(s))]
         ),
         sigma23=ConstraintSet([ContainmentConstraint(s, t)]),
         name="nash_transitive_closure",
@@ -653,7 +621,7 @@ def _partial_elimination_mixed() -> LiteratureProblem:
     sigma12 = ConstraintSet(
         [
             EqualityConstraint(s1, Projection(r, (0, 1))),
-            EqualityConstraint(s2, _TransitiveClosure(s2)),
+            EqualityConstraint(s2, TransitiveClosure(s2)),
             ContainmentConstraint(r, s2),
         ]
     )

@@ -6,7 +6,10 @@ left- and right-compose substitute through it, and D-/∅-identities let the
 clean-up steps simplify around it.  This module registers that knowledge for
 the three extended operators the paper mentions explicitly — semijoin,
 anti-semijoin and left outerjoin — through the same public registry API an
-end user would employ for their own operators (see ``examples/extensibility.py``).
+end user would employ for their own operators (see
+``examples/extensibility_user_operator.py``).  The registry holds what the
+algorithm knows; each operator's class in :mod:`repro.algebra.expressions`
+holds its syntax and semantics.
 """
 
 from __future__ import annotations

@@ -22,6 +22,10 @@ modules; the registry is consulted for everything else.  The extended
 operators shipped with the library (semijoin, anti-semijoin, left outerjoin)
 are registered through exactly this public interface — see
 :mod:`repro.operators.extended`.
+
+The registry holds what the algorithm knows about an operator.  Its class
+holds its syntax and semantics (:class:`~repro.algebra.expressions.PrefixOperator`),
+which the parser, printer, digest and evaluator read without a registry.
 """
 
 from __future__ import annotations

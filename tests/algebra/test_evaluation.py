@@ -19,6 +19,7 @@ from repro.algebra.expressions import (
     SemiJoin,
     SkolemApplication,
     SkolemFunction,
+    TransitiveClosure,
     Union,
 )
 from repro.algebra.terms import NULL
@@ -153,6 +154,22 @@ class TestExtendedOperators:
         assert (2, 2, "x") in result
         assert (1, NULL, NULL) in result
         assert len(result) == 2
+
+    def test_transitive_closure_of_a_chain(self):
+        instance = Instance({"E": {(1, 2), (2, 3), (3, 4)}})
+        assert evaluate(TransitiveClosure(Relation("E", 2)), instance) == frozenset(
+            {(1, 2), (2, 3), (3, 4), (1, 3), (2, 4), (1, 4)}
+        )
+
+    def test_transitive_closure_of_a_cycle(self):
+        instance = Instance({"E": {(1, 2), (2, 3), (3, 1)}})
+        result = evaluate(TransitiveClosure(Relation("E", 2)), instance)
+        assert result == frozenset((a, b) for a in (1, 2, 3) for b in (1, 2, 3))
+
+    def test_transitive_closure_of_the_empty_relation(self):
+        instance = Instance({"E": set(), "F": {(1, 2)}})
+        assert evaluate(TransitiveClosure(Relation("E", 2)), instance) == frozenset()
+        assert evaluate(TransitiveClosure(Empty(2)), instance) == frozenset()
 
 
 class TestEvaluatorObject:

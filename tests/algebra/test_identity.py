@@ -19,8 +19,8 @@ from repro.algebra.conditions import FALSE, TRUE, And, Not, Or, equals, equals_c
 from repro.algebra.digest import DIGEST_SIZE, expression_digest
 from repro.algebra.expressions import (
     BASIC_OPERATOR_TYPES,
-    EXTENDED_OPERATOR_TYPES,
     LEAF_TYPES,
+    PREFIX_OPERATOR_TYPES,
     AntiSemiJoin,
     ConstantRelation,
     CrossProduct,
@@ -35,9 +35,11 @@ from repro.algebra.expressions import (
     SemiJoin,
     SkolemApplication,
     SkolemFunction,
+    TransitiveClosure,
     Union,
 )
 from repro.algebra.parser import parse_constraint, parse_expression
+from repro.exceptions import ConditionError
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -59,7 +61,6 @@ BUILT_IN_NODES = [
     Selection(R, equals_const(0, 1)),
     Selection(R, equals_const(0, 1.0)),
     Selection(R, And(equals(0, 1), Or(equals_const(0, 1), Not(equals_const(1, "x"))))),
-    Selection(R, And(equals(0, 1))),
     Selection(R, TRUE),
     Selection(R, FALSE),
     Projection(R, (1, 0)),
@@ -68,6 +69,7 @@ BUILT_IN_NODES = [
     SemiJoin(R, S, equals(0, 2)),
     AntiSemiJoin(R, S, equals(1, 3)),
     LeftOuterJoin(R, S, equals(0, 3)),
+    TransitiveClosure(S),
 ]
 
 #: The payload fields of each built-in class, as the digest has always read
@@ -87,6 +89,7 @@ _PAYLOAD_FIELDS = {
     SemiJoin: ("condition",),
     AntiSemiJoin: ("condition",),
     LeftOuterJoin: ("condition",),
+    TransitiveClosure: (),
 }
 
 
@@ -110,7 +113,7 @@ def _node_id(node) -> str:
 
 def test_the_nodes_cover_every_built_in_type():
     assert {type(node) for node in BUILT_IN_NODES} == set(
-        LEAF_TYPES + BASIC_OPERATOR_TYPES + EXTENDED_OPERATOR_TYPES + (SkolemApplication,)
+        LEAF_TYPES + BASIC_OPERATOR_TYPES + PREFIX_OPERATOR_TYPES + (SkolemApplication,)
     )
     assert set(_PAYLOAD_FIELDS) == {type(node) for node in BUILT_IN_NODES}
 
@@ -147,6 +150,15 @@ def test_nodes_are_equal_exactly_when_their_digests_are():
             assert (a != b) is not same
             if same:
                 assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("kind", [And, Or])
+def test_a_one_operand_conjunction_or_disjunction_is_refused(kind):
+    # ``(c)`` would print and read back as ``c``: another node, digest and
+    # request key.  Nested operands of the same kind still flatten.
+    with pytest.raises(ConditionError, match="at least two operands"):
+        kind(equals(0, 1))
+    assert len(kind(kind(equals(0, 1), equals_const(1, 2))).operands) == 2
 
 
 def test_one_and_one_point_zero_are_different_nodes():

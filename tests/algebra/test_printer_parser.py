@@ -18,6 +18,7 @@ from repro.algebra.expressions import (
     SemiJoin,
     SkolemApplication,
     SkolemFunction,
+    TransitiveClosure,
     Union,
 )
 from repro.algebra.parser import (
@@ -87,10 +88,13 @@ class TestParserBasics:
         assert parse_expression("leftouterjoin[#0 = #2](R/2, S/2)") == LeftOuterJoin(
             Relation("R", 2), Relation("S", 2), equals(0, 2)
         )
+        assert parse_expression("tclosure(S/2)") == TransitiveClosure(Relation("S", 2))
 
     def test_reserved_word_as_relation_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("select/2")
+        with pytest.raises(ParseError):
+            parse_expression("tclosure/2")
 
     def test_unbalanced_parenthesis(self):
         with pytest.raises(ParseError):
@@ -118,6 +122,14 @@ class TestConditionParsing:
 
     def test_parse_float(self):
         assert parse_condition("#0 = 1.5") == equals_const(0, 1.5)
+
+    @pytest.mark.parametrize("value", [1e-05, 1e16, -2.5e-07, 5e-324])
+    def test_a_float_with_an_exponent_round_trips(self, value):
+        text = f"select[#0 = {value!r}](R/2)"
+        assert "e" in text
+        expression = parse_expression(text)
+        assert expression.condition == equals_const(0, value)
+        assert str(expression) == text
 
     def test_parse_negative_number(self):
         assert parse_condition("#0 = -3") == equals_const(0, -3)

@@ -14,7 +14,7 @@ from repro.compose.config import ComposerConfig
 from repro.engine import ChainGrower, compose_chain
 from repro.engine.checkpoint import CheckpointStore
 from repro.exceptions import CatalogError, ParseError, ReproError
-from repro.literature.problems import problem_by_name
+from repro.literature.problems import all_problems, problem_by_name
 from repro.schema.signature import RelationSchema, Signature
 from repro.textio.format import problem_to_text
 from repro.textio.records import (
@@ -183,6 +183,17 @@ class TestRecordTexts:
             stored = catalog.text(kind, entry.name)
             assert stored == ("# kind: problem\n" + text if kind == "problem" else text)
             assert catalog.verify(kind, entry.name)
+
+    def test_every_literature_problem_is_stored_read_back_and_verified(self, catalog):
+        # Both transitive-closure problems included: tclosure(E) reads back.
+        for literature_problem in all_problems():
+            name, problem = literature_problem.name, literature_problem.problem
+            catalog.put_problem(name, problem)
+            back = catalog.get_problem(name)
+            assert (back.sigma12, back.sigma23) == (problem.sigma12, problem.sigma23)
+            assert back.fingerprint() == problem.fingerprint()
+            assert catalog.verify("problem", name)
+        assert len(catalog.names("problem")) == len(all_problems()) == 28
 
     def test_put_problem_refuses_a_record_it_could_not_read_back(self, catalog):
         problem = dataclasses.replace(

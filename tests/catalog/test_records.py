@@ -133,17 +133,10 @@ class TestChainRecords:
 
 
 class TestResultRecords:
-    #: Problems whose constraints mention relations only through expressions
-    #: the signature-free constraint parser cannot re-read (pre-existing
-    #: printer/parser limitation, same as tests/textio/test_format.py).
-    UNPARSEABLE = {"nash_transitive_closure", "partial_elimination_mixed"}
-
     @pytest.mark.parametrize("order", ["fixed", "cost"])
     def test_roundtrip_across_literature(self, order):
         config = ComposerConfig(elimination_order=order)
         for literature_problem in all_problems():
-            if literature_problem.name in self.UNPARSEABLE:
-                continue
             result = compose(literature_problem.problem, config)
             back = result_from_text(result_to_text(result, name=literature_problem.name))
             assert back == result, literature_problem.name

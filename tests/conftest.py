@@ -101,13 +101,19 @@ def expression_samples(include_extended: bool = False):
         Projection(Selection(CrossProduct(r, s), equals(1, 2)), (0, 3)),
     ]
     if include_extended:
-        from repro.algebra.expressions import AntiSemiJoin, LeftOuterJoin, SemiJoin
+        from repro.algebra.expressions import (
+            AntiSemiJoin,
+            LeftOuterJoin,
+            SemiJoin,
+            TransitiveClosure,
+        )
 
         samples.extend(
             [
                 SemiJoin(r, s, equals(0, 2)),
                 AntiSemiJoin(r, s, equals(0, 2)),
                 LeftOuterJoin(r, s, equals(1, 2)),
+                TransitiveClosure(Union(r, s)),
             ]
         )
     return samples

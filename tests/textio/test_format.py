@@ -21,21 +21,14 @@ class TestRoundTrip:
         assert parsed.name == problem.name
 
     @pytest.mark.parametrize(
-        "name",
-        [
-            "example1_movies",
-            "example5_view_unfolding",
-            "glav_chain",
-            "vertical_partition_roundtrip",
-            "union_split_targets",
-            "outerjoin_tolerance",
-        ],
+        "name", [literature_problem.name for literature_problem in all_problems()]
     )
     def test_literature_problems_roundtrip(self, name):
         problem = problem_by_name(name).problem
         parsed = problem_from_text(problem_to_text(problem))
         assert parsed.sigma12 == problem.sigma12
         assert parsed.sigma23 == problem.sigma23
+        assert parsed.fingerprint() == problem.fingerprint()
 
     def test_roundtrip_preserves_composition_outcome(self):
         problem = problem_by_name("example1_movies").problem

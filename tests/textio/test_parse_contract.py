@@ -65,6 +65,8 @@ MALFORMED = [
     ("expression", "skolem [0](R/2)", "expected 'name' but found '['", 7),
     ("expression", "semijoin[#0 = #2](R/2 S/2)", "expected ',' but found 'S'", 22),
     ("expression", "leftouterjoin[#0 = #1](R/2)", "expected ',' but found ')'", 26),
+    ("expression", "tclosure(R/2, S/2)", "expected ')' but found ','", 12),
+    ("expression", "tclosure[#0 = 1](R/2)", "expected '(' but found '['", 8),
     ("expression", "D(x)", "expected 'number' but found 'x'", 2),
     ("expression", "empty()", "expected 'number' but found ')'", 6),
     ("expression", "const()", "expected '(' but found ')'", 6),
@@ -95,6 +97,7 @@ MALFORMED = [
     ("expression", "D(1.5)", "expected an integer, found '1.5'", 2),
     ("expression", "empty(2.0)", "expected an integer, found '2.0'", 6),
     ("expression", "skolem f[0.5](R/2)", "expected an integer, found '0.5'", 9),
+    ("expression", "project[1e+16](R/2)", "expected an integer, found '1e+16'", 8),
 ]
 
 
@@ -130,8 +133,9 @@ def test_too_deeply_nested_condition_is_a_parse_error():
 ALPHABET = (
     "R/2", "S/2", "T/3", "R", "/", "2", "0", "1.5", "-1", "-", "#0", "#1", "#",
     "'a'", "'", "(", ")", "[", "]", ",", ";", "=", "<=", ">=", "<", "union",
-    "x", "select", "project", "skolem", "f", "semijoin", "D", "empty", "const",
-    "true", "not", "and", "or", "@",
+    "x", "select", "project", "skolem", "f", "semijoin", "antisemijoin",
+    "leftouterjoin", "tclosure", "D", "empty", "const", "true", "not", "and",
+    "or", "@",
 )
 SEED_LINES = (
     "project[0,1](R4/3) = R6/2",
